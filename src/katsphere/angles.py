@@ -73,9 +73,6 @@ class AngleAssignment:
                 f"assignment domain mismatch: missing {missing[:5]}, "
                 f"extra {extra[:5]}")
 
-    def arc_sum(self, e1: Edge, e2: Edge) -> float:
-        return self[e1] + self[e2]
-
 
 def interpolate(theta: AngleAssignment, s: float) -> AngleAssignment:
     """Straight-line interpolation from the uniform pi/3 assignment.

@@ -201,61 +201,61 @@ def two_edge_arcs(tri: Triangulation) -> tuple[CurveReport, ...]:
     return tuple(out)
 
 
-def _cycle_sides(tri: Triangulation, cycle: tuple[int, ...]) -> tuple[int, int]:
-    """Vertex counts strictly inside the two sides of an embedded cycle.
-
-    Faces are flood-filled without crossing the cycle's edges; a simple
-    closed curve on the sphere yields exactly two face components, and
-    every off-cycle vertex lies with all of its faces in one of them.
-    """
-    k = len(cycle)
-    cedges = {norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    comp = [-1] * tri.n_faces
-    label = 0
-    for start in range(tri.n_faces):
-        if comp[start] != -1:
-            continue
-        comp[start] = label
-        dq = deque([start])
-        while dq:
-            f = dq.popleft()
-            a, b, c = tri.faces[f]
-            for e in (norm_edge(a, b), norm_edge(b, c), norm_edge(c, a)):
-                if e in cedges:
-                    continue
-                for g in tri.faces_of_edge[e]:
-                    if comp[g] == -1:
-                        comp[g] = label
-                        dq.append(g)
-        label += 1
-    if label != 2:
-        raise NotSphere(f"cutting along {cycle} produced {label} regions")
-    on_cycle = set(cycle)
-    counts = [0, 0]
-    for v in range(tri.n_vertices):
-        if v in on_cycle:
-            continue
-        counts[comp[tri.vertex_face_cycles[v][0]]] += 1
-    lo, hi = sorted(counts)
-    return (lo, hi)
-
-
 def separating_cycles(tri: Triangulation, k: int) -> tuple[CurveReport, ...]:
-    """Simple k-cycles (k = 3 or 4) with at least one vertex on each side."""
+    """Simple k-cycles (k = 3 or 4) with at least one vertex on each side.
+
+    The triangulation is simplicial on more than four vertices, so
+    separation is decided locally: a 3-cycle separates exactly when it is
+    not a face, and a 4-cycle (u, a, x, b) fails to separate exactly when
+    one diagonal closes two faces inside it, i.e. {u, a, x} and {u, x, b}
+    are faces, or {a, x, b} and {a, b, u} are.  Each side of a separating
+    cycle is a disk; one of F faces bounded by the k-cycle holds
+    (F - k + 2) / 2 vertices by Euler's formula.  Face searches on the two
+    sides of one cycle edge advance in turn and stop when the smaller side
+    is exhausted, so a cycle costs time bounded by its smaller side.
+    """
     if k == 3:
-        raw = _three_cycles(tri)
+        raw = [c for c in _three_cycles(tri) if not tri.is_face(*c)]
     elif k == 4:
-        raw = _four_cycles(tri)
+        raw = [(u, a, x, b) for (u, a, x, b) in _four_cycles(tri)
+               if not (tri.is_face(u, a, x) and tri.is_face(u, x, b)
+                       or tri.is_face(a, x, b) and tri.is_face(a, b, u))]
     else:
         raise ValueError(f"cycle length {k} not supported (only 3 and 4)")
     out = []
     for cyc in raw:
-        sides = _cycle_sides(tri, cyc)
-        if sides[0] >= 1:
-            edges = tuple(norm_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))
-            out.append(CurveReport(kind=f"separating{k}", vertices=cyc,
-                                   edges=edges, side_counts=sides))
+        edges = tuple(norm_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))
+        out.append(CurveReport(kind=f"separating{k}", vertices=cyc,
+                               edges=edges,
+                               side_counts=_side_counts(tri, cyc, edges)))
     return tuple(out)
+
+
+def _side_counts(tri: Triangulation, cycle: tuple[int, ...],
+                 edges: tuple[Edge, ...]) -> tuple[int, int]:
+    """Vertex counts strictly inside the two sides of a separating cycle."""
+    k = len(cycle)
+    cut = set(edges)
+    # the two faces on a cycle edge lie on opposite sides
+    sides = [([f], {f}) for f in tri.faces_of_edge[edges[0]]]
+    while sides[0][0] and sides[1][0]:
+        for stack, seen in sides:
+            a, b, c = tri.faces[stack.pop()]
+            for e in (norm_edge(a, b), norm_edge(b, c), norm_edge(c, a)):
+                if e in cut:
+                    continue
+                for g in tri.faces_of_edge[e]:
+                    if g not in seen:
+                        seen.add(g)
+                        stack.append(g)
+    # both searches popped equally often, so the exhausted side is no larger
+    f_in = len(sides[0][1] if not sides[0][0] else sides[1][1])
+    lo = (f_in - k + 2) // 2
+    hi = tri.n_vertices - k - lo
+    if (f_in - k) % 2 or not 1 <= lo <= hi:
+        raise NotSphere(
+            f"cutting along {cycle} leaves a side of {f_in} faces")
+    return (lo, hi)
 
 
 def _three_cycles(tri: Triangulation) -> list[tuple[int, int, int]]:

@@ -91,18 +91,6 @@ class ConditionsViolated(SolverError):
     """Target angles fail the admissibility conditions; no solve attempted."""
 
 
-class HomotopyStalled(SolverError):
-    """Continuation step size underflowed before reaching the target."""
-
-
-class LeftFeasibleRegion(SolverError):
-    """No step could keep the iterate inside the feasible region."""
-
-
-class NotImplementable(SolverError):
-    """Gauge normalization impossible for this configuration."""
-
-
 # -- serialization ------------------------------------------------------------
 
 class ParseError(KatSphereError):

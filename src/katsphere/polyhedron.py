@@ -114,17 +114,6 @@ class HyperbolicPolyhedron:
         return self.vertices[:, :3] / self.vertices[:, 3:]
 
 
-def _face_cycles(tri: Triangulation) -> tuple[tuple[int, ...], ...]:
-    index = {frozenset(f): i for i, f in enumerate(tri.faces)}
-    cycles = []
-    for v in range(tri.n_vertices):
-        nbrs = tri.neighbors[v]
-        d = len(nbrs)
-        cycles.append(tuple(index[frozenset((v, nbrs[t], nbrs[(t + 1) % d]))]
-                            for t in range(d)))
-    return tuple(cycles)
-
-
 def build_polyhedron(tri: Triangulation, cfg,
                      theta: AngleAssignment) -> HyperbolicPolyhedron:
     """Intersect the half-spaces of a verified pattern.
@@ -181,7 +170,7 @@ def build_polyhedron(tri: Triangulation, cfg,
         err = max(err, abs(dihedrals[(u, w)] - theta[(u, w)]))
     return HyperbolicPolyhedron(
         face_normals=normals, vertices=verts,
-        face_cycles=_face_cycles(tri), dihedral_angles=dihedrals,
+        face_cycles=tri.vertex_face_cycles, dihedral_angles=dihedrals,
         angle_error_inf=err)
 
 

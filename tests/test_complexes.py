@@ -6,6 +6,7 @@ with the library.  Counts for the catalog complexes are frozen explicitly.
 """
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,42 @@ def oracle_separating4(tri):
             if not chordless_side:
                 out.add(frozenset(ring))
     return out
+
+
+def oracle_cycle_sides(tri, cycle):
+    """Vertex counts strictly inside the two sides of an embedded cycle.
+
+    Faces are flood-filled without crossing the cycle's edges; a simple
+    closed curve on the sphere yields exactly two face components, and
+    every off-cycle vertex lies with all of its faces in one of them.
+    """
+    k = len(cycle)
+    cedges = {norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+    comp = [-1] * tri.n_faces
+    label = 0
+    for start in range(tri.n_faces):
+        if comp[start] != -1:
+            continue
+        comp[start] = label
+        dq = deque([start])
+        while dq:
+            f = dq.popleft()
+            a, b, c = tri.faces[f]
+            for e in (norm_edge(a, b), norm_edge(b, c), norm_edge(c, a)):
+                if e in cedges:
+                    continue
+                for g in tri.faces_of_edge[e]:
+                    if comp[g] == -1:
+                        comp[g] = label
+                        dq.append(g)
+        label += 1
+    assert label == 2, f"cutting along {cycle} produced {label} regions"
+    on_cycle = set(cycle)
+    counts = [0, 0]
+    for v in range(tri.n_vertices):
+        if v not in on_cycle:
+            counts[comp[tri.vertex_face_cycles[v][0]]] += 1
+    return tuple(sorted(counts))
 
 
 def oracle_prismatic(tri, reports):
@@ -252,6 +289,19 @@ class TestCurveEnumeration:
                 assert rep.side_counts is not None
                 assert sum(rep.side_counts) + k == tri.n_vertices
                 assert rep.side_counts[0] >= 1
+                assert rep.side_counts == oracle_cycle_sides(tri, rep.vertices)
+
+    def test_stacked300_frozen_counts(self):
+        # nested cycles at a scale the catalog does not reach; the flood
+        # fill checks a sample, since checking all of them takes seconds
+        tri = stacked_tetrahedra(300)
+        threes = separating_cycles(tri, 3)
+        fours = separating_cycles(tri, 4)
+        assert len(threes) == 300
+        assert len(fours) == 2191
+        assert len(two_edge_arcs(tri)) == 13848
+        for rep in threes[::30] + fours[::150]:
+            assert rep.side_counts == oracle_cycle_sides(tri, rep.vertices)
 
     def test_face_cycles_report_kinds(self, bp3):
         reps = face_cycles_report(bp3)
@@ -372,6 +422,9 @@ def test_random_stacked_sphere_invariants(faces):
     assert got == oracle_arcs(tri)
     assert {frozenset(r.vertices) for r in separating_cycles(tri, 3)} == oracle_separating3(tri)
     assert _sep_edge_sets(separating_cycles(tri, 4)) == oracle_separating4(tri)
+    for k in (3, 4):
+        for rep in separating_cycles(tri, k):
+            assert rep.side_counts == oracle_cycle_sides(tri, rep.vertices)
 
 
 @settings(max_examples=30, deadline=None)
