@@ -36,7 +36,6 @@ from .polyhedron import (
     face_gram,
     face_gram_det,
     face_vertex,
-    plane_normal,
 )
 from .solver import (
     Configuration,
@@ -101,7 +100,6 @@ __all__ = [
     "octahedron",
     "overlap_angle",
     "pattern_angles",
-    "plane_normal",
     "primalize",
     "prismatic_circuits",
     "regauge",

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     NotManifold,
@@ -78,6 +81,19 @@ class Triangulation:
 
     def degree(self, v: Vertex) -> int:
         return len(self.neighbors[v])
+
+    @cached_property
+    def nonadjacent_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (us, vs) of the vertex pairs u < v that share no
+        edge, in lexicographic order."""
+        n = self.n_vertices
+        apart = np.triu(np.ones((n, n), dtype=bool), 1)
+        us, vs = zip(*self.edges)
+        apart[us, vs] = False
+        us, vs = np.nonzero(apart)
+        us.setflags(write=False)
+        vs.setflags(write=False)
+        return us, vs
 
     def is_face(self, u: Vertex, v: Vertex, w: Vertex) -> bool:
         return frozenset((u, v, w)) in self.face_index

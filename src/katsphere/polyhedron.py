@@ -31,8 +31,6 @@ from .verify import check_contact_graph, check_separating_triples
 CONVEXITY_TOL = 1e-9    # slack allowed on half-space membership
 INCIDENCE_TOL = 1e-9    # drift of a vertex off its defining planes
 
-plane_normal = cap_plane_normal
-
 
 def face_gram(theta_i: float, theta_j: float, theta_k: float) -> np.ndarray:
     """Gram matrix of three unit plane normals meeting pairwise at the
@@ -152,15 +150,16 @@ def build_polyhedron(tri: Triangulation, cfg,
             raise NotPositiveDefinite(
                 f"planes of face {(i, j, k)} do not meet: {exc}") from exc
 
-    for fi, f in enumerate(tri.faces):
-        for w in range(tri.n_vertices):
-            if w in f:
-                continue
-            slack = minkowski_dot(verts[fi], normals[w])
-            if slack > CONVEXITY_TOL:
-                raise ConvexityViolation(
-                    f"vertex of face {f} lies outside the half-space of "
-                    f"cap {w} by {slack:.3e}")
+    # slack[f, w] = minkowski_dot(vertex of face f, normal of cap w)
+    slack = (verts[:, :3] @ normals[:, :3].T
+             - np.outer(verts[:, 3], normals[:, 3]))
+    slack[np.arange(tri.n_faces)[:, None], tri.faces] = -np.inf
+    outside = np.flatnonzero(slack > CONVEXITY_TOL)
+    if outside.size:
+        fi, w = divmod(int(outside[0]), tri.n_vertices)
+        raise ConvexityViolation(
+            f"vertex of face {tri.faces[fi]} lies outside the half-space "
+            f"of cap {w} by {slack[fi, w]:.3e}")
 
     dihedrals = {}
     err = 0.0

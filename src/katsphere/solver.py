@@ -42,9 +42,11 @@ from .sphere import (
     boost_to_center,
     cap_plane_normal,
     common_orthogonal_point,
+    inversive_matrix,
     plane_normal_cap,
     signed_excess,
 )
+from .verify import separation_margin
 
 _PI = math.pi
 
@@ -282,28 +284,28 @@ def _inversive_all(cfg: Configuration) -> np.ndarray:
     return (cr[u] * cr[v] - dots) / (sr[u] * sr[v])
 
 
-def pattern_angles(cfg: Configuration) -> dict[tuple[int, int], float]:
-    """Overlap angle on every edge; EdgeNotOverlapping if a pair separated."""
+def _edge_angles(cfg: Configuration) -> np.ndarray:
+    """Overlap angle per edge, in the order of tri.edges; raises
+    EdgeNotOverlapping if a pair separated or engulfed."""
     inv = _inversive_all(cfg)
     bad = np.nonzero(np.abs(inv) >= 1.0)[0]
     if bad.size:
         e = cfg.tri.edges[int(bad[0])]
         raise EdgeNotOverlapping(
             f"caps on edge {e} have inversive distance {inv[int(bad[0])]:.6f}")
-    th = np.arccos(inv)
+    return np.arccos(inv)
+
+
+def pattern_angles(cfg: Configuration) -> dict[tuple[int, int], float]:
+    """Overlap angle on every edge; EdgeNotOverlapping if a pair separated."""
+    th = _edge_angles(cfg)
     return {e: float(th[i]) for i, e in enumerate(cfg.tri.edges)}
 
 
 def residual(cfg: Configuration, theta: AngleAssignment) -> np.ndarray:
     """Angle errors, one entry per edge of the triangulation (sorted)."""
     target = np.array([theta[e] for e in cfg.tri.edges])
-    inv = _inversive_all(cfg)
-    bad = np.nonzero(np.abs(inv) >= 1.0)[0]
-    if bad.size:
-        e = cfg.tri.edges[int(bad[0])]
-        raise EdgeNotOverlapping(
-            f"caps on edge {e} have inversive distance {inv[int(bad[0])]:.6f}")
-    return np.arccos(inv) - target
+    return _edge_angles(cfg) - target
 
 
 def _residual_or_none(cfg: Configuration, target: np.ndarray) -> np.ndarray | None:
@@ -454,25 +456,9 @@ def _gate_state(cfg: Configuration) -> tuple[frozenset, frozenset]:
         f for f in tri.faces
         if signed_excess(cfg.centers[f[0]], cfg.centers[f[1]],
                          cfg.centers[f[2]]) <= 1e-12)
-    bad_pairs = []
-    inv_pairs = _nonadjacent_inversive(cfg)
-    for pair, val in inv_pairs.items():
-        if val <= 1.0:
-            bad_pairs.append(pair)
-    return flipped, frozenset(bad_pairs)
-
-
-def _nonadjacent_inversive(cfg: Configuration) -> dict[tuple[int, int], float]:
-    tri = cfg.tri
-    cr, sr = np.cos(cfg.radii), np.sin(cfg.radii)
-    out = {}
-    for u in range(tri.n_vertices):
-        for v in range(u + 1, tri.n_vertices):
-            if v in tri.adjacent[u]:
-                continue
-            dot = float(cfg.centers[u] @ cfg.centers[v])
-            out[(u, v)] = (cr[u] * cr[v] - dot) / (sr[u] * sr[v])
-    return out
+    pu, pv = tri.nonadjacent_pairs
+    bad = inversive_matrix(cfg.centers, cfg.radii)[pu, pv] <= 1.0
+    return flipped, frozenset(zip(pu[bad].tolist(), pv[bad].tolist()))
 
 
 def _hard_feasible(cfg: Configuration, lay: _Layout) -> bool:
@@ -734,8 +720,6 @@ def _record(cfg: Configuration, s: float, iters: int, lam: float,
             step_norm: float, residual_inf: float) -> HomotopyRecord:
     nongauge = [v for v in range(cfg.tri.n_vertices)
                 if v not in cfg.gauge_face]
-    inv = _nonadjacent_inversive(cfg)
-    margin = min((val - 1.0 for val in inv.values()), default=float("inf"))
     return HomotopyRecord(
         s=s, iterations=iters,
         residual_inf=residual_inf,
@@ -743,4 +727,4 @@ def _record(cfg: Configuration, s: float, iters: int, lam: float,
         min_radius=float(np.min(cfg.radii)),
         max_nongauge_radius=float(np.max(cfg.radii[nongauge]))
         if nongauge else float("nan"),
-        separation_margin=margin)
+        separation_margin=separation_margin(cfg.tri, cfg))

@@ -75,6 +75,17 @@ def inversive_distance(a: Cap, b: Cap) -> float:
             / (math.sin(a.radius) * math.sin(b.radius)))
 
 
+def inversive_matrix(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Inversive distances of all cap pairs as an n x n array.
+
+    Entry (u, v) is the inversive_distance formula on rows u and v.  The
+    Gram product keeps the rounding of the scalar dot product, which a
+    row-wise einsum does not, so reports stay reproducible.
+    """
+    c, s = np.cos(radii), np.sin(radii)
+    return (np.outer(c, c) - centers @ centers.T) / np.outer(s, s)
+
+
 def overlap_angle(a: Cap, b: Cap) -> float:
     """Intersection angle of the boundary circles, in (0, pi).
 

@@ -27,6 +27,7 @@ from .complexes import Triangulation, separating_cycles
 from .sphere import (
     circle_intersection_points,
     fibonacci_sphere,
+    inversive_matrix,
     signed_excess,
     triple_intersection_empty,
 )
@@ -58,10 +59,15 @@ class ContactReport:
     separated_pairs: int
 
 
-def _pair_inversive(cfg, u: int, v: int) -> float:
-    cr = math.cos(cfg.radii[u]) * math.cos(cfg.radii[v])
-    sr = math.sin(cfg.radii[u]) * math.sin(cfg.radii[v])
-    return (cr - float(cfg.centers[u] @ cfg.centers[v])) / sr
+def _violations(kinds: tuple[str, ...], conditions: list[np.ndarray],
+                us: np.ndarray, vs: np.ndarray,
+                inv: np.ndarray) -> list[ContactViolation]:
+    """One violation per pair meeting a condition, named after the first
+    condition it meets, in pair order."""
+    code = np.select(conditions, range(len(kinds)), -1)
+    return [ContactViolation(kinds[code[i]], (int(us[i]), int(vs[i])),
+                             float(inv[i]))
+            for i in np.flatnonzero(code >= 0)]
 
 
 def check_contact_graph(tri: Triangulation, cfg,
@@ -72,40 +78,26 @@ def check_contact_graph(tri: Triangulation, cfg,
     flagged as `tangency`, the boundary case where two disks touch in a
     single point.
     """
-    bad: list[ContactViolation] = []
-    n_edges = 0
-    for (u, v) in tri.edges:
-        inv = _pair_inversive(cfg, u, v)
-        if inv >= 1.0:
-            bad.append(ContactViolation("lost_overlap", (u, v), inv))
-        elif inv <= -1.0:
-            bad.append(ContactViolation("engulfing", (u, v), inv))
-        else:
-            n_edges += 1
-    n_apart = 0
-    for u in range(tri.n_vertices):
-        for v in range(u + 1, tri.n_vertices):
-            if v in tri.adjacent[u]:
-                continue
-            inv = _pair_inversive(cfg, u, v)
-            if abs(inv - 1.0) <= tangency_eps:
-                bad.append(ContactViolation("tangency", (u, v), inv))
-            elif inv <= -1.0:
-                bad.append(ContactViolation("containment", (u, v), inv))
-            elif inv < 1.0:
-                bad.append(ContactViolation("overlap", (u, v), inv))
-            else:
-                n_apart += 1
-    return ContactReport(not bad, tuple(bad), n_edges, n_apart)
+    inv = inversive_matrix(cfg.centers, cfg.radii)
+    eu, ev = np.asarray(tri.edges).T
+    pu, pv = tri.nonadjacent_pairs
+    e_inv, p_inv = inv[eu, ev], inv[pu, pv]
+    lost = _violations(("lost_overlap", "engulfing"),
+                       [e_inv >= 1.0, e_inv <= -1.0], eu, ev, e_inv)
+    near = _violations(("tangency", "containment", "overlap"),
+                       [np.abs(p_inv - 1.0) <= tangency_eps,
+                        p_inv <= -1.0, p_inv < 1.0], pu, pv, p_inv)
+    bad = lost + near
+    return ContactReport(not bad, tuple(bad), len(e_inv) - len(lost),
+                         len(p_inv) - len(near))
 
 
 def separation_margin(tri: Triangulation, cfg) -> float:
     """Min over non-adjacent pairs of (inversive distance - 1)."""
-    vals = [_pair_inversive(cfg, u, v)
-            for u in range(tri.n_vertices)
-            for v in range(u + 1, tri.n_vertices)
-            if v not in tri.adjacent[u]]
-    return min(vals) - 1.0 if vals else float("inf")
+    pu, pv = tri.nonadjacent_pairs
+    if not pu.size:
+        return float("inf")
+    return float(np.min(inversive_matrix(cfg.centers, cfg.radii)[pu, pv])) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +161,11 @@ def check_irreducible(tri: Triangulation, cfg,
     # cover[i, v] <=> probe i lies strictly inside cap v
     cover = probes @ cfg.centers.T > np.cos(radii)[None, :]
     only_one = cover.sum(axis=1) == 1
-    witnesses: dict[int, np.ndarray] = {}
-    for v in range(tri.n_vertices):
-        hits = np.nonzero(only_one & cover[:, v])[0]
-        if hits.size:
-            witnesses[v] = probes[int(hits[0])]
+    # first probe, per vertex, covered by that vertex's cap alone
+    owners, first = np.unique(cover.argmax(axis=1)[only_one],
+                              return_index=True)
+    hits = np.flatnonzero(only_one)[first]
+    witnesses = {int(v): probes[i] for v, i in zip(owners, hits)}
     missing = tuple(v for v in range(tri.n_vertices) if v not in witnesses)
     return IrreducibilityReport(not missing, witnesses, missing, ())
 
@@ -228,29 +220,22 @@ def tangency_diagnostics(tri: Triangulation, cfg,
     diagnostic with consistent=False signals a geometry violation near
     the degenerate boundary.
     """
+    inv = inversive_matrix(cfg.centers, cfg.radii)
+    pu, pv = tri.nonadjacent_pairs
     out: list[TangencyDiagnostic] = []
-    for u in range(tri.n_vertices):
-        for v in range(u + 1, tri.n_vertices):
-            if v in tri.adjacent[u]:
+    for i in np.flatnonzero(np.abs(inv[pu, pv] - 1.0) <= tangency_eps):
+        u, v = int(pu[i]), int(pv[i])
+        # contact point: midpoint of the two boundary points facing
+        # each other along the arc through the centers
+        point = _facing_midpoint(cfg, u, v)
+        inside = cfg.centers @ point - np.cos(cfg.radii) >= -1e-9
+        for w in np.flatnonzero(inside):
+            if w in (u, v):
                 continue
-            inv = _pair_inversive(cfg, u, v)
-            if abs(inv - 1.0) > tangency_eps:
-                continue
-            # contact point: midpoint of the two boundary points facing
-            # each other along the arc through the centers
-            point = _facing_midpoint(cfg, u, v)
-            for w in range(tri.n_vertices):
-                if w in (u, v):
-                    continue
-                margin = float(point @ cfg.centers[w]) - math.cos(cfg.radii[w])
-                if margin < -1e-9:
-                    continue
-                th_wu = _clipped_angle(_pair_inversive(cfg, w, u))
-                th_wv = _clipped_angle(_pair_inversive(cfg, w, v))
-                total = th_wu + th_wv
-                out.append(TangencyDiagnostic(
-                    (u, v), inv, point, w, total,
-                    total >= _PI - angle_eps))
+            total = _clipped_angle(inv[w, u]) + _clipped_angle(inv[w, v])
+            out.append(TangencyDiagnostic(
+                (u, v), float(inv[u, v]), point, int(w), total,
+                total >= _PI - angle_eps))
     return tuple(out)
 
 
@@ -391,11 +376,12 @@ def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
     angles, and the irreducibility flag presumes all of the above.
     """
     contact = check_contact_graph(tri, cfg)
+    eu, ev = np.asarray(tri.edges).T
+    e_inv = inversive_matrix(cfg.centers, cfg.radii)[eu, ev]
     err = 0.0
-    for (u, v) in tri.edges:
-        inv = _pair_inversive(cfg, u, v)
+    for e, inv in zip(tri.edges, e_inv.tolist()):
         if abs(inv) < 1.0:
-            err = max(err, abs(math.acos(inv) - theta[(u, v)]))
+            err = max(err, abs(math.acos(inv) - theta[e]))
         else:
             err = float("inf")
     in_contact = contact.ok

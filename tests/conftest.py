@@ -1,4 +1,5 @@
-"""Shared fixtures: catalog complexes, solved patterns, a seeded RNG."""
+"""Shared fixtures: catalog complexes, solved and realized patterns, a
+seeded RNG."""
 
 import math
 
@@ -7,7 +8,8 @@ import pytest
 
 from katsphere.angles import AngleAssignment
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
-from katsphere.solver import solve
+from katsphere.complexes import build_triangulation, norm_edge
+from katsphere.solver import Configuration, pattern_angles, regauge, solve
 
 
 @pytest.fixture
@@ -67,3 +69,52 @@ def solved_ico(ico_tri):
     cfg, rep = solve(ico_tri, theta)
     assert rep.converged
     return cfg, theta
+
+
+def _icosahedron_positions(tri):
+    """Unit vectors for catalog.icosahedron: vertex 0 on top, upper ring
+    1..5, lower ring 6..10 turned by pi/5, vertex 11 below; mirrored if
+    that embedding reverses the face orientation."""
+    pts = np.zeros((12, 3))
+    pts[0], pts[11] = (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)
+    z, r = 1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0)
+    for i in range(1, 6):
+        a = 2.0 * math.pi * (i - 1) / 5.0
+        pts[i] = (r * math.cos(a), r * math.sin(a), z)
+        pts[i + 5] = (r * math.cos(a + math.pi / 5.0),
+                      r * math.sin(a + math.pi / 5.0), -z)
+    a, b, c = tri.faces[0]
+    if float(np.cross(pts[b] - pts[a], pts[c] - pts[a]) @ pts[a]) < 0.0:
+        pts[:, 1] *= -1.0
+    return pts
+
+
+@pytest.fixture(scope="session")
+def realized_geodesic42():
+    """The once-subdivided icosahedron with a cap of 0.6 times the longest
+    incident edge on every vertex, gauged on its first face, and the
+    angles it realizes."""
+    ico = icosahedron()
+    pts = list(_icosahedron_positions(ico))
+    mid = {}
+
+    def midpoint(u, v):
+        e = norm_edge(u, v)
+        if e not in mid:
+            p = pts[u] + pts[v]
+            pts.append(p / np.linalg.norm(p))
+            mid[e] = len(pts) - 1
+        return mid[e]
+
+    faces = []
+    for (a, b, c) in ico.faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    tri = build_triangulation(faces)
+    pos = np.array(pts)
+    radii = np.array([
+        0.6 * float(np.max(np.arccos(np.clip(
+            pos[list(tri.neighbors[v])] @ pos[v], -1.0, 1.0))))
+        for v in range(tri.n_vertices)])
+    cfg = regauge(Configuration(tri, pos, radii, tri.faces[0]), tri.faces[0])
+    return tri, cfg, AngleAssignment(pattern_angles(cfg))

@@ -14,10 +14,12 @@ Frozen expectations:
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+import katsphere.polyhedron
 from katsphere.angles import AngleAssignment
 from katsphere.errors import (
     ConvexityViolation,
@@ -31,10 +33,9 @@ from katsphere.polyhedron import (
     face_gram,
     face_gram_det,
     face_vertex,
-    plane_normal,
 )
-from katsphere.solver import Configuration
-from katsphere.sphere import Cap, minkowski_dot
+from katsphere.solver import Configuration, pattern_angles
+from katsphere.sphere import Cap, cap_plane_normal, minkowski_dot
 
 OCT_ANGLE = 2.0 * math.pi / 5.0
 OCT_SYMMETRIC_RHO = 1.0634400235777521
@@ -108,12 +109,12 @@ class TestFaceGram:
 
 class TestPlaneNormal:
     def test_great_circle_normal(self):
-        n = plane_normal(Cap(np.array([1.0, 0.0, 0.0]), math.pi / 2))
+        n = cap_plane_normal(Cap(np.array([1.0, 0.0, 0.0]), math.pi / 2))
         assert np.allclose(n, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_orthogonal_caps_have_orthogonal_normals(self):
-        a = plane_normal(Cap(np.array([1.0, 0.0, 0.0]), math.pi / 2))
-        b = plane_normal(Cap(np.array([0.0, 1.0, 0.0]), math.pi / 2))
+        a = cap_plane_normal(Cap(np.array([1.0, 0.0, 0.0]), math.pi / 2))
+        b = cap_plane_normal(Cap(np.array([0.0, 1.0, 0.0]), math.pi / 2))
         assert minkowski_dot(a, b) == pytest.approx(0.0, abs=1e-15)
 
     def test_octahedron_adjacent_product(self, oct_tri):
@@ -121,14 +122,14 @@ class TestPlaneNormal:
         # -cot(rho)^2 = -cos(2*pi/5)
         cfg = symmetric_octahedron_configuration(oct_tri)
         u, v = oct_tri.edges[0]
-        prod = -minkowski_dot(plane_normal(cfg.cap(u)),
-                              plane_normal(cfg.cap(v)))
+        prod = -minkowski_dot(cap_plane_normal(cfg.cap(u)),
+                              cap_plane_normal(cfg.cap(v)))
         assert prod == pytest.approx(math.cos(OCT_ANGLE), abs=1e-12)
 
 
 class TestFaceVertex:
     def test_coordinate_great_circles_meet_at_apex(self):
-        normals = [plane_normal(Cap(np.eye(3)[i], math.pi / 2))
+        normals = [cap_plane_normal(Cap(np.eye(3)[i], math.pi / 2))
                    for i in range(3)]
         q = face_vertex(*normals)
         assert np.allclose(q, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
@@ -136,15 +137,15 @@ class TestFaceVertex:
     def test_symmetric_octahedron_corner(self, oct_tri):
         cfg = symmetric_octahedron_configuration(oct_tri)
         caps = [Cap(np.eye(3)[i], OCT_SYMMETRIC_RHO) for i in range(3)]
-        q = face_vertex(*(plane_normal(c) for c in caps))
+        q = face_vertex(*(cap_plane_normal(c) for c in caps))
         klein = q[:3] / q[3]
         assert np.allclose(klein, KLEIN_COORD, atol=1e-12)
 
     def test_concentric_caps_rejected(self):
         p = np.array([0.0, 0.0, 1.0])
-        n1 = plane_normal(Cap(p, 0.4))
-        n2 = plane_normal(Cap(p, 0.9))
-        n3 = plane_normal(Cap(np.array([1.0, 0.0, 0.0]), 0.7))
+        n1 = cap_plane_normal(Cap(p, 0.4))
+        n2 = cap_plane_normal(Cap(p, 0.9))
+        n3 = cap_plane_normal(Cap(np.array([1.0, 0.0, 0.0]), 0.7))
         with pytest.raises(NotPositiveDefinite):
             face_vertex(n1, n2, n3)
 
@@ -228,6 +229,36 @@ class TestBuildPolyhedron:
         thin = AngleAssignment.constant(oct_tri, 0.2 * math.pi)
         with pytest.raises(NotPositiveDefinite):
             build_polyhedron(oct_tri, cfg, thin)
+
+    def test_convexity_check_matches_scalar_oracle(self, realized_geodesic42,
+                                                   monkeypatch, rng):
+        # the realized pattern, jiggled so that equal slacks do not hide
+        # the order of the search, with the angles it then realizes
+        tri, cfg, _ = realized_geodesic42
+        centers = cfg.centers + 1e-3 * rng.normal(size=cfg.centers.shape)
+        centers /= np.linalg.norm(centers, axis=1)[:, None]
+        cfg = cfg.with_data(centers, cfg.radii)
+        theta = AngleAssignment(pattern_angles(cfg))
+        poly = build_polyhedron(tri, cfg, theta)
+        # slow oracle: one minkowski_dot per face vertex and non-incident
+        # cap, in face-major order
+        slack = {(fi, w): minkowski_dot(poly.vertices[fi],
+                                        poly.face_normals[w])
+                 for fi, f in enumerate(tri.faces)
+                 for w in range(tri.n_vertices) if w not in f}
+        assert max(slack.values()) <= katsphere.polyhedron.CONVEXITY_TOL
+        # a tolerance inside the slack range, clear of every slack value,
+        # must be reported at the first pair above it
+        values = np.sort(list(slack.values()))
+        k = next(i for i in range(99 * len(values) // 100, len(values) - 1)
+                 if values[i + 1] - values[i] > 1e-9)
+        tol = 0.5 * (values[k] + values[k + 1])
+        fi, w = next(key for key, val in slack.items() if val > tol)
+        monkeypatch.setattr(katsphere.polyhedron, "CONVEXITY_TOL", tol)
+        with pytest.raises(ConvexityViolation, match=re.escape(
+                f"face {tri.faces[fi]} lies outside the half-space of "
+                f"cap {w} by")):
+            build_polyhedron(tri, cfg, theta)
 
 
 class TestExportOff:

@@ -30,6 +30,7 @@ from katsphere.sphere import (
     excess_lhuilier,
     fibonacci_sphere,
     inversive_distance,
+    inversive_matrix,
     layout_triple,
     nearest_point_on_circle,
     overlap_angle,
@@ -141,6 +142,18 @@ class TestDistances:
             assert inversive_distance(ra, rb) == pytest.approx(
                 inversive_distance(a, b), abs=1e-12
             )
+
+    def test_matrix_matches_scalar(self, rng):
+        centers = rng.normal(size=(9, 3))
+        centers /= np.linalg.norm(centers, axis=1)[:, None]
+        radii = rng.uniform(0.1, 3.0, size=9)
+        caps = [Cap(c, r) for c, r in zip(centers, radii)]
+        mat = inversive_matrix(centers, radii)
+        assert mat.shape == (9, 9)
+        want = [[inversive_distance(a, b) for b in caps] for a in caps]
+        assert mat == pytest.approx(np.array(want), abs=1e-12)
+        # a cap meets itself at inversive distance -1 (coincident circles)
+        assert np.diag(mat) == pytest.approx(-np.ones(9), abs=1e-12)
 
 
 class TestOverlapAngle:

@@ -9,6 +9,9 @@ Frozen expectations:
   C(12,2) - 30 = 36 separated non-adjacent pairs,
 * symmetric octahedron: all radii equal, so the largest radius ratio
   across an edge is exactly 1.
+
+The vectorized pair checks are compared with slow scalar oracles that
+call sphere.inversive_distance once per vertex pair.
 """
 
 import math
@@ -17,9 +20,12 @@ import numpy as np
 import pytest
 
 from katsphere.angles import AngleAssignment
-from katsphere.solver import Configuration, solve
-from katsphere.sphere import point_in_cap, sph_dist
+from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
+from katsphere.solver import Configuration, _gate_state, solve
+from katsphere.sphere import inversive_distance, point_in_cap, sph_dist
 from katsphere.verify import (
+    TANGENCY_EPS,
+    _facing_midpoint,
     check_center_triangulation,
     check_contact_graph,
     check_irreducible,
@@ -58,6 +64,41 @@ def hemisphere_octahedron_configuration(tri) -> Configuration:
     return sym.with_data(sym.centers.copy(), np.full(6, math.pi / 2))
 
 
+def engulfing_octahedron_configuration(tri) -> Configuration:
+    """Cap 0 grown until it swallows its four neighbours."""
+    cfg = symmetric_octahedron_configuration(tri)
+    radii = cfg.radii.copy()
+    radii[0] = 3.0
+    return cfg.with_data(cfg.centers, radii)
+
+
+def containment_octahedron_configuration(tri) -> Configuration:
+    """The cap antipodal to vertex 0 dragged next to vertex 0 and shrunk:
+    the non-adjacent pair (0, 1) becomes nested."""
+    cfg = symmetric_octahedron_configuration(tri)
+    centers = cfg.centers.copy()
+    radii = cfg.radii.copy()
+    centers[1] = np.array([math.cos(0.1), math.sin(0.1), 0.0])
+    radii[0], radii[1] = 1.0, 0.2
+    return cfg.with_data(centers, radii)
+
+
+def overlap_octahedron_configuration(tri) -> Configuration:
+    """The cap antipodal to vertex 0 moved to distance 2 from it: the
+    non-adjacent pair (0, 1) crosses without nesting."""
+    cfg = symmetric_octahedron_configuration(tri)
+    centers = cfg.centers.copy()
+    centers[1] = np.array([math.cos(2.0), math.sin(2.0), 0.0])
+    return cfg.with_data(centers, cfg.radii.copy())
+
+
+def lost_overlap_octahedron_configuration(cfg) -> Configuration:
+    """Caps 1 and 3 of a solved octahedron shrunk until they part."""
+    radii = cfg.radii.copy()
+    radii[1] = radii[3] = 0.05
+    return cfg.with_data(cfg.centers, radii)
+
+
 @pytest.fixture(scope="module")
 def near_tangent_oct(oct_tri):
     # close to the degenerate uniform pi/2 family: separation margin
@@ -92,34 +133,35 @@ class TestContactGraph:
             assert v.inversive == pytest.approx(1.0, abs=1e-12)
 
     def test_lost_overlap_kind(self, oct_tri, solved_oct):
-        cfg = solved_oct[0]
-        radii = cfg.radii.copy()
-        radii[1] = radii[3] = 0.05
-        rep = check_contact_graph(oct_tri, cfg.with_data(cfg.centers, radii))
+        cfg = lost_overlap_octahedron_configuration(solved_oct[0])
+        rep = check_contact_graph(oct_tri, cfg)
         assert not rep.ok
         assert ("lost_overlap", (1, 3)) in {(v.kind, v.pair)
                                             for v in rep.violations}
 
     def test_engulfing_kind(self, oct_tri):
-        cfg = symmetric_octahedron_configuration(oct_tri)
-        radii = cfg.radii.copy()
-        radii[0] = 3.0
-        rep = check_contact_graph(oct_tri, cfg.with_data(cfg.centers, radii))
+        cfg = engulfing_octahedron_configuration(oct_tri)
+        rep = check_contact_graph(oct_tri, cfg)
         assert not rep.ok
         engulfed = {v.pair for v in rep.violations if v.kind == "engulfing"}
         assert engulfed == {(0, u) for u in oct_tri.adjacent[0]}
 
     def test_containment_kind(self, oct_tri):
-        # drag the cap antipodal to vertex 0 next to vertex 0 and shrink
-        # it: the non-adjacent pair (0, 1) becomes nested
-        cfg = symmetric_octahedron_configuration(oct_tri)
-        centers = cfg.centers.copy()
-        radii = cfg.radii.copy()
-        centers[1] = np.array([math.cos(0.1), math.sin(0.1), 0.0])
-        radii[0], radii[1] = 1.0, 0.2
-        rep = check_contact_graph(oct_tri, cfg.with_data(centers, radii))
+        cfg = containment_octahedron_configuration(oct_tri)
+        rep = check_contact_graph(oct_tri, cfg)
         kinds = {(v.kind, v.pair) for v in rep.violations}
         assert ("containment", (0, 1)) in kinds
+
+    def test_overlap_kind(self, oct_tri):
+        cfg = overlap_octahedron_configuration(oct_tri)
+        rep = check_contact_graph(oct_tri, cfg)
+        assert not rep.ok
+        (hit,) = [v for v in rep.violations if v.pair == (0, 1)]
+        assert hit.kind == "overlap"
+        assert -1.0 < hit.inversive < 1.0 - TANGENCY_EPS
+        assert hit.inversive == pytest.approx(
+            inversive_distance(cfg.cap(0), cfg.cap(1)), abs=1e-12)
+        assert rep.separated_pairs == 2
 
 
 class TestSeparationMargin:
@@ -413,3 +455,150 @@ class TestCapIntersectionStructure:
             w = rep.witnesses[outside[0]]
             for u in subset:
                 assert sph_dist(w, cfg.centers[u]) > cfg.radii[u]
+
+
+# ---------------------------------------------------------------------------
+# slow oracles for the vectorized pair checks
+# ---------------------------------------------------------------------------
+
+def oracle_nonadjacent_inversive(tri, cfg) -> dict[tuple[int, int], float]:
+    """Inversive distance of every non-adjacent pair u < v, in
+    lexicographic order, one scalar call per pair."""
+    return {(u, v): inversive_distance(cfg.cap(u), cfg.cap(v))
+            for u in range(tri.n_vertices)
+            for v in range(u + 1, tri.n_vertices)
+            if v not in tri.adjacent[u]}
+
+
+def oracle_contact_graph(tri, cfg, tangency_eps=TANGENCY_EPS):
+    """(violations as (kind, pair, inversive), overlapping edges,
+    separated pairs), classified pair by pair."""
+    bad = []
+    n_edges = 0
+    for (u, v) in tri.edges:
+        inv = inversive_distance(cfg.cap(u), cfg.cap(v))
+        if inv >= 1.0:
+            bad.append(("lost_overlap", (u, v), inv))
+        elif inv <= -1.0:
+            bad.append(("engulfing", (u, v), inv))
+        else:
+            n_edges += 1
+    n_apart = 0
+    for pair, inv in oracle_nonadjacent_inversive(tri, cfg).items():
+        if abs(inv - 1.0) <= tangency_eps:
+            bad.append(("tangency", pair, inv))
+        elif inv <= -1.0:
+            bad.append(("containment", pair, inv))
+        elif inv < 1.0:
+            bad.append(("overlap", pair, inv))
+        else:
+            n_apart += 1
+    return bad, n_edges, n_apart
+
+
+def oracle_tangency_diagnostics(tri, cfg, tangency_eps, angle_eps):
+    """(pair, third cap, angle sum, consistent) for every cap that holds
+    the contact point of a near-tangent non-adjacent pair."""
+    out = []
+    for (u, v), inv in oracle_nonadjacent_inversive(tri, cfg).items():
+        if abs(inv - 1.0) > tangency_eps:
+            continue
+        point = _facing_midpoint(cfg, u, v)
+        for w in range(tri.n_vertices):
+            if w in (u, v):
+                continue
+            if float(point @ cfg.centers[w]) - math.cos(cfg.radii[w]) < -1e-9:
+                continue
+            total = sum(
+                math.acos(min(1.0, max(-1.0, inversive_distance(
+                    cfg.cap(w), cfg.cap(x))))) for x in (u, v))
+            out.append(((u, v), w, total, total >= math.pi - angle_eps))
+    return out
+
+
+def random_configuration(tri, rng) -> Configuration:
+    centers = rng.normal(size=(tri.n_vertices, 3))
+    centers /= np.linalg.norm(centers, axis=1)[:, None]
+    radii = rng.uniform(0.05, 2.5, size=tri.n_vertices)
+    return Configuration(tri, centers, radii, tri.faces[0])
+
+
+ORACLE_COMPLEXES = [
+    octahedron(), icosahedron(), bipyramid(3), bipyramid(6),
+    stacked_tetrahedra(1), stacked_tetrahedra(3),
+]
+
+
+class TestPairKernelOracles:
+    @pytest.fixture(scope="class")
+    def cases(self, oct_tri, solved_oct, bp3, solved_bp3, ico_tri,
+              solved_ico, realized_geodesic42, near_tangent_oct):
+        """(name, triangulation, configuration, tangency_eps) per case."""
+        out = [
+            ("solved_oct", oct_tri, solved_oct[0], TANGENCY_EPS),
+            ("solved_bp3", bp3, solved_bp3[0], TANGENCY_EPS),
+            ("solved_ico", ico_tri, solved_ico[0], TANGENCY_EPS),
+            ("geodesic42", realized_geodesic42[0], realized_geodesic42[1],
+             TANGENCY_EPS),
+            ("near_tangent_oct", oct_tri, near_tangent_oct[0], 1e-2),
+        ]
+        for build in (symmetric_octahedron_configuration,
+                      hemisphere_octahedron_configuration,
+                      engulfing_octahedron_configuration,
+                      containment_octahedron_configuration,
+                      overlap_octahedron_configuration):
+            out.append((build.__name__, oct_tri, build(oct_tri),
+                        TANGENCY_EPS))
+        out.append(("lost_overlap", oct_tri,
+                    lost_overlap_octahedron_configuration(solved_oct[0]),
+                    TANGENCY_EPS))
+        rng = np.random.default_rng(20261018)
+        for i, tri in enumerate(ORACLE_COMPLEXES):
+            for k in range(3):
+                out.append((f"random-{i}-{k}", tri,
+                            random_configuration(tri, rng), 0.1))
+        return out
+
+    def test_contact_graph_matches_oracle(self, cases):
+        kinds = set()
+        for name, tri, cfg, eps in cases:
+            rep = check_contact_graph(tri, cfg, tangency_eps=eps)
+            want, n_edges, n_apart = oracle_contact_graph(tri, cfg, eps)
+            assert [(v.kind, v.pair) for v in rep.violations] == \
+                [(kind, pair) for kind, pair, _ in want], name
+            assert [v.inversive for v in rep.violations] == pytest.approx(
+                [inv for _, _, inv in want], rel=1e-12, abs=1e-12), name
+            assert (rep.overlapping_edges, rep.separated_pairs) == \
+                (n_edges, n_apart), name
+            assert rep.ok == (not want), name
+            kinds |= {kind for kind, _, _ in want}
+        # the cases reach every kind the classifier knows
+        assert kinds == {"lost_overlap", "engulfing", "tangency",
+                         "containment", "overlap"}
+
+    def test_separation_margin_matches_oracle(self, cases):
+        for name, tri, cfg, _ in cases:
+            want = min(oracle_nonadjacent_inversive(tri, cfg).values()) - 1.0
+            assert separation_margin(tri, cfg) == pytest.approx(
+                want, rel=1e-12, abs=1e-12), name
+
+    def test_tangency_diagnostics_match_oracle(self, cases):
+        found = 0
+        for name, tri, cfg, eps in cases:
+            eps = max(eps, 1e-6)
+            got = tangency_diagnostics(tri, cfg, tangency_eps=eps,
+                                       angle_eps=1e-2)
+            want = oracle_tangency_diagnostics(tri, cfg, eps, 1e-2)
+            assert [(d.pair, d.third, d.consistent) for d in got] == \
+                [(pair, w, ok) for pair, w, _, ok in want], name
+            assert [d.angle_sum for d in got] == pytest.approx(
+                [total for _, _, total, _ in want], abs=1e-12), name
+            found += len(got)
+        assert found > 0
+
+    def test_gate_bad_pairs_match_oracle(self, cases):
+        for name, tri, cfg, _ in cases:
+            want = {pair for pair, inv in
+                    oracle_nonadjacent_inversive(tri, cfg).items()
+                    if inv <= 1.0}
+            assert _gate_state(cfg)[1] == want, name
