@@ -3,14 +3,12 @@ and degeneration studies.
 
 Exit codes: 0 success, 2 condition or gate failure, 3 unreadable or
 malformed input, 4 numerical failure, 5 inconclusive verification.
-The environment variable KAT_SPHERE_SEED overrides any --seed flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 
@@ -42,17 +40,6 @@ EXIT_NUMERIC = 4
 EXIT_INCONCLUSIVE = 5
 
 
-def _resolve_seed(args) -> int | None:
-    env = os.environ.get("KAT_SPHERE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(
-                f"KAT_SPHERE_SEED must be an integer, got {env!r}") from None
-    return getattr(args, "seed", None)
-
-
 def _print_condition_report(rep, out=None) -> None:
     out = out or sys.stdout
     failing = {v.condition for v in rep.violations}
@@ -67,12 +54,11 @@ def _print_condition_report(rep, out=None) -> None:
     print(f"result: {'PASS' if rep.ok else 'FAIL'}", file=out)
 
 
-def _write_manifest(path, inputs: dict, options: dict, seed,
+def _write_manifest(path, inputs: dict, options: dict,
                     artifacts: list, timings: dict) -> None:
     payload = {
         "inputs": inputs,
         "options": options,
-        "seed": seed,
         "artifacts": sorted(artifacts),
         "timings_sec": timings,
     }
@@ -105,8 +91,7 @@ def cmd_solve(args) -> int:
     if not adm.ok:
         _print_condition_report(adm, out=sys.stderr)
         return EXIT_GATE
-    opts = SolveOptions(tolerance=args.tol, seed=_resolve_seed(args),
-                        first_anchor=args.s0)
+    opts = SolveOptions(tolerance=args.tol, first_anchor=args.s0)
     t0 = time.perf_counter()
     cfg, rep = solve(tri, theta, options=opts)
     solve_time = time.perf_counter() - t0
@@ -127,7 +112,6 @@ def cmd_solve(args) -> int:
             inputs={"complex": args.complex, "angles": args.angles},
             options={"tol": args.tol, "s0": args.s0,
                      "degrees": args.degrees},
-            seed=_resolve_seed(args),
             artifacts=[args.out],
             timings={"solve": solve_time,
                      "verify": time.perf_counter() - t1})
@@ -176,7 +160,7 @@ def cmd_polyhedron(args) -> int:
             inputs={"complex": args.complex, "pattern": args.pattern,
                     "angles": args.angles},
             options={"degrees": args.degrees},
-            seed=None, artifacts=artifacts,
+            artifacts=artifacts,
             timings={"build": time.perf_counter() - t0})
     return EXIT_OK
 
@@ -213,7 +197,6 @@ def cmd_degenerate(args) -> int:
     end = jsonio.load_angles(args.end, degrees=args.degrees)
     end.check_domain(tri.edges)
     ts = _parse_ts(args)
-    opts = SolveOptions(seed=_resolve_seed(args))
 
     rows = []
     failed = False
@@ -230,7 +213,7 @@ def cmd_degenerate(args) -> int:
             failed = True
             rows.append([step, repr(t), "outside", "", "", "", "", ""])
             continue
-        cfg, rep = solve(tri, theta, options=opts)
+        cfg, rep = solve(tri, theta)
         if not rep.converged:
             failed = True
             rows.append([step, repr(t), "stalled",
@@ -284,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual infinity-norm tolerance")
     p.add_argument("--s0", type=float, default=None,
                    help="first homotopy anchor to try in (0, 1]")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="pattern.json")
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--manifest", default=None,
@@ -326,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--ts", default=None,
                        help="comma-separated interpolation parameters")
     p.add_argument("--out", default=None, help="CSV output (default stdout)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--degrees", action="store_true")
     p.set_defaults(func=cmd_degenerate)
     return parser

@@ -17,6 +17,14 @@ coordinates per remaining vertex, and one radius per vertex outside the
 gauge face.  That is 1 + 2(n-2) + (n-3) = 3n - 6 coordinates against one
 overlap-angle residual per edge, a square system.
 
+Every vertex carries three chart coordinates: a pair of offsets along a
+tangent frame at its center, and its radius.  The (n, 3) integer map
+`_Layout.col` sends coordinate k of vertex v to its free column, or to -1
+where the gauge fixes it.  Column 0 is the meridian angle of `b`, whose
+frame's first vector is the meridian tangent; the tangent pairs of the
+other vertices follow in vertex order, then the non-gauge radii.  The
+Jacobian and the step are array passes over this map.
+
 The target angles are reached by a homotopy that pulls the prescribed
 assignment toward the uniform pi/3 assignment and walks back out, warm
 starting each leg from the previous solution.
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -42,11 +51,11 @@ from .sphere import (
     boost_to_center,
     cap_plane_normal,
     common_orthogonal_point,
+    face_excesses,
     inversive_matrix,
     plane_normal_cap,
-    signed_excess,
 )
-from .verify import separation_margin
+from .verify import radii_bounds, separation_margin
 
 _PI = math.pi
 
@@ -117,7 +126,6 @@ class SolveOptions:
     step_shrink: float = 0.5
     min_step: float = 1e-4
     repair_attempts: int = 80
-    seed: int | None = None
     first_anchor: float | None = None  # interpolation parameter tried first
 
 
@@ -138,33 +146,41 @@ def _require_oriented_face(tri: Triangulation, face) -> tuple[int, int, int]:
 
 
 class _Layout:
-    """Index bookkeeping between free coordinates and configuration data."""
+    """Free columns of the gauge chart: col[v, k] for the tangent pair
+    (k = 0, 1) and the radius (k = 2) of vertex v, -1 where fixed."""
 
-    def __init__(self, tri: Triangulation, gauge: tuple[int, int, int]):
+    def __init__(self, n: int, gauge: tuple[int, int, int]):
         a, b, c = gauge
-        self.a, self.b, self.c = a, b, c
-        self.tangent_vertices = sorted(v for v in range(tri.n_vertices)
-                                       if v not in (a, b))
-        self.radius_vertices = sorted(v for v in range(tri.n_vertices)
-                                      if v not in (a, b, c))
-        self.tangent_col = {v: 1 + 2 * i
-                            for i, v in enumerate(self.tangent_vertices)}
-        base = 1 + 2 * len(self.tangent_vertices)
-        self.radius_col = {v: base + i
-                           for i, v in enumerate(self.radius_vertices)}
-        self.n_free = base + len(self.radius_vertices)
+        self.b, self.c = b, c
+        col = np.full((n, 3), -1)
+        tangent = np.delete(np.arange(n), [a, b])
+        col[tangent, 0] = 1 + 2 * np.arange(len(tangent))
+        col[tangent, 1] = col[tangent, 0] + 1
+        col[b, 0] = 0
+        radius = np.delete(np.arange(n), gauge)
+        col[radius, 2] = 1 + 2 * len(tangent) + np.arange(len(radius))
+        self.col = col
+        self.n_free = 3 * n - 6
 
 
-def _tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the tangent plane at a unit vector."""
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(p)))] = 1.0
-    e1 = seed - float(seed @ p) * p
-    n = float(np.linalg.norm(e1))
-    if n < 1e-12:
-        raise NearSingularChart(f"tangent chart degenerate at {p}")
-    e1 = e1 / n
-    return e1, np.cross(p, e1)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each rounded like np.dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _tangent_frames(P: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames (n, 2, 3) at the unit rows of P."""
+    rows = np.arange(len(P))
+    k = np.argmin(np.abs(P), axis=1)
+    seed = np.zeros_like(P)
+    seed[rows, k] = 1.0
+    e1 = seed - P[rows, k][:, None] * P
+    norm = np.sqrt(_rowdot(e1, e1))
+    bad = np.flatnonzero(norm < 1e-12)
+    if bad.size:
+        raise NearSingularChart(f"tangent chart degenerate at {P[bad[0]]}")
+    e1 = e1 / norm[:, None]
+    return np.stack([e1, np.cross(P, e1)], axis=1)
 
 
 def _meridian_angle(p: np.ndarray) -> float:
@@ -322,41 +338,32 @@ def jacobian(cfg: Configuration) -> np.ndarray:
     of b, tangent pairs, radii).  The angle on edge (u, v) is
     arccos(I(u, v)), so each entry carries the factor -1/sqrt(1 - I^2).
     """
-    tri = cfg.tri
-    lay = _Layout(tri, cfg.gauge_face)
+    lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
     P, R = cfg.centers, cfg.radii
     cr, sr = np.cos(R), np.sin(R)
     inv = _inversive_all(cfg)
     scale = 1.0 / np.sqrt(np.maximum(1.0 - inv * inv, 1e-30))
+    frames = _tangent_frames(P)
+    frames[lay.b, 0] = (-P[lay.b, 2], 0.0, P[lay.b, 0])   # meridian tangent
 
-    bases = {v: _tangent_basis(P[v]) for v in lay.tangent_vertices}
-    t_b = _tangent_basis_meridian(P[lay.b])
-
-    J = np.zeros((len(tri.edges), lay.n_free))
-    for row, (u, v) in enumerate(tri.edges):
-        s = scale[row]
-        denom = sr[u] * sr[v]
-        for end, other in ((u, v), (v, u)):
-            # position derivative: dTheta/dt = (t . p_other) / (denom sqrt)
-            if end == lay.b:
-                J[row, 0] = s * float(t_b @ P[other]) / denom
-            elif end in bases:
-                e1, e2 = bases[end]
-                col = lay.tangent_col[end]
-                J[row, col] = s * float(e1 @ P[other]) / denom
-                J[row, col + 1] = s * float(e2 @ P[other]) / denom
-            # radius derivative:
-            # dTheta/dr_end = (cos r_other - C cos r_end) / (sin^2 r_end sin r_other sqrt)
-            if end in lay.radius_col:
-                C = float(P[end] @ P[other])
-                J[row, lay.radius_col[end]] = (
-                    s * (cr[other] - C * cr[end]) / (sr[end] ** 2 * sr[other]))
+    u, v = _edge_arrays(cfg.tri)
+    denom = sr[u] * sr[v]
+    cos_d = _rowdot(P[u], P[v])
+    J = np.zeros((len(u), lay.n_free))
+    for end, other in ((u, v), (v, u)):
+        # position: dTheta/dt = (t . p_other) / (denom sqrt); radius:
+        # dTheta/dr_end = (cos r_other - C cos r_end) / (sin^2 r_end sin r_other sqrt)
+        # (float_power rounds sin^2 like libm pow; x * x sometimes differs)
+        q = P[other]
+        d = np.column_stack([
+            scale * _rowdot(frames[end, 0], q) / denom,
+            scale * _rowdot(frames[end, 1], q) / denom,
+            scale * (cr[other] - cos_d * cr[end])
+            / (np.float_power(sr[end], 2) * sr[other])])
+        cols = lay.col[end]
+        row, k = np.nonzero(cols >= 0)
+        J[row, cols[row, k]] = d[row, k]
     return J
-
-
-def _tangent_basis_meridian(p_b: np.ndarray) -> np.ndarray:
-    """Unit tangent of the meridian curve at the gauge vertex b."""
-    return np.array([-p_b[2], 0.0, p_b[0]])
 
 
 def apply_step(cfg: Configuration, delta: np.ndarray,
@@ -367,7 +374,7 @@ def apply_step(cfg: Configuration, delta: np.ndarray,
     feasibility box, letting a descent step slide along the wall instead
     of being rejected outright.
     """
-    lay = _Layout(cfg.tri, cfg.gauge_face)
+    lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
     if delta.shape != (lay.n_free,):
         raise ValueError(f"step has shape {delta.shape}, expected ({lay.n_free},)")
     centers = cfg.centers.copy()
@@ -376,17 +383,18 @@ def apply_step(cfg: Configuration, delta: np.ndarray,
     phi = _meridian_angle(centers[lay.b]) + float(delta[0])
     centers[lay.b] = _meridian_point(phi)
 
-    for v in lay.tangent_vertices:
-        e1, e2 = _tangent_basis(cfg.centers[v])
-        col = lay.tangent_col[v]
-        p = cfg.centers[v] + delta[col] * e1 + delta[col + 1] * e2
-        centers[v] = p / np.linalg.norm(p)
+    moved = lay.col[:, 1] >= 0
+    P = cfg.centers[moved]
+    frames = _tangent_frames(P)
+    step = delta[lay.col[moved, :2]]
+    p = P + step[:, :1] * frames[:, 0] + step[:, 1:] * frames[:, 1]
+    centers[moved] = p / np.sqrt(_rowdot(p, p))[:, None]
 
-    for v in lay.radius_vertices:
-        r = radii[v] + float(delta[lay.radius_col[v]])
-        if clip_radii:
-            r = min(max(r, RADIUS_FLOOR + 1e-6), RADIUS_CEILING - 1e-6)
-        radii[v] = r
+    sized = lay.col[:, 2] >= 0
+    radii[sized] += delta[lay.col[sized, 2]]
+    if clip_radii:
+        radii[sized] = np.clip(radii[sized], RADIUS_FLOOR + 1e-6,
+                               RADIUS_CEILING - 1e-6)
     return cfg.with_data(centers, radii)
 
 
@@ -452,10 +460,8 @@ def _gate_state(cfg: Configuration) -> tuple[frozenset, frozenset]:
     """Current soft-violation instances: flipped faces and overlapping
     non-adjacent pairs."""
     tri = cfg.tri
-    flipped = frozenset(
-        f for f in tri.faces
-        if signed_excess(cfg.centers[f[0]], cfg.centers[f[1]],
-                         cfg.centers[f[2]]) <= 1e-12)
+    flipped = frozenset(compress(
+        tri.faces, face_excesses(cfg.centers, tri.faces) <= 1e-12))
     pu, pv = tri.nonadjacent_pairs
     bad = inversive_matrix(cfg.centers, cfg.radii)[pu, pv] <= 1.0
     return flipped, frozenset(zip(pu[bad].tolist(), pv[bad].tolist()))
@@ -467,13 +473,8 @@ def _hard_feasible(cfg: Configuration, lay: _Layout) -> bool:
         return False
     if cfg.centers[lay.c, 1] <= 0.0:
         return False
-    nongauge = [v for v in range(cfg.tri.n_vertices)
-                if v not in cfg.gauge_face]
-    if nongauge:
-        r = cfg.radii[nongauge]
-        if np.any(r <= RADIUS_FLOOR) or np.any(r >= RADIUS_CEILING):
-            return False
-    return True
+    r = cfg.radii[lay.col[:, 2] >= 0]
+    return not (np.any(r <= RADIUS_FLOOR) or np.any(r >= RADIUS_CEILING))
 
 
 def _acceptable(cfg: Configuration, lay: _Layout,
@@ -529,7 +530,7 @@ def _levenberg(cfg: Configuration, target: np.ndarray, opts: SolveOptions,
                ) -> tuple[Configuration, tuple, bool, int, float, float]:
     """Solve one homotopy target.  Returns (cfg, state, converged,
     iterations, damping, last_step_norm)."""
-    lay = _Layout(cfg.tri, cfg.gauge_face)
+    lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
     lam = opts.initial_damping
     r = _residual_or_none(cfg, target)
     if r is None:
@@ -603,7 +604,7 @@ def _solve_in_gauge(tri: Triangulation, theta: AngleAssignment, gauge,
         tgt = target_for(s)
         out, st2, ok, iters, lam, step_norm = _levenberg(c0, tgt, opts, st)
         if ok:
-            ok = _solution_radii_ok(out)
+            ok = radii_bounds(tri, out).ok
         return out, st2, ok, iters, lam, step_norm, _residual_inf(out, tgt)
 
     # cold starts: the prescribed angles directly, then interpolated
@@ -700,15 +701,6 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
         failure_reason=None if good else "tolerance_missed")
 
 
-def _solution_radii_ok(cfg: Configuration) -> bool:
-    """Accepted homotopy solutions must keep non-gauge radii below pi/2."""
-    nongauge = [v for v in range(cfg.tri.n_vertices)
-                if v not in cfg.gauge_face]
-    if not nongauge:
-        return True
-    return bool(np.all(cfg.radii[nongauge] < _GAUGE_RADIUS))
-
-
 def _residual_inf(cfg: Configuration, target: np.ndarray) -> float:
     r = _residual_or_none(cfg, target)
     if r is None:
@@ -718,13 +710,11 @@ def _residual_inf(cfg: Configuration, target: np.ndarray) -> float:
 
 def _record(cfg: Configuration, s: float, iters: int, lam: float,
             step_norm: float, residual_inf: float) -> HomotopyRecord:
-    nongauge = [v for v in range(cfg.tri.n_vertices)
-                if v not in cfg.gauge_face]
+    stats = radii_bounds(cfg.tri, cfg)
     return HomotopyRecord(
         s=s, iterations=iters,
         residual_inf=residual_inf,
         damping=lam, step_norm=step_norm,
-        min_radius=float(np.min(cfg.radii)),
-        max_nongauge_radius=float(np.max(cfg.radii[nongauge]))
-        if nongauge else float("nan"),
+        min_radius=stats.min_radius,
+        max_nongauge_radius=stats.max_nongauge_radius,
         separation_margin=separation_margin(cfg.tri, cfg))

@@ -366,6 +366,24 @@ def signed_excess(p_i, p_j, p_k) -> float:
     return area if det < 0.0 else -area
 
 
+def face_excesses(centers: np.ndarray, faces) -> np.ndarray:
+    """signed_excess of every face's center triple, as one array.
+
+    Signs and zeros come from the same determinant test.  numpy's arccos,
+    tan and arctan may round an ulp away from the math module's, and
+    L'Huilier's formula magnifies that on thin triangles.
+    """
+    m = centers[np.asarray(faces)]
+    det = np.linalg.det(m)
+    cos_l = (m[..., None, :] @ np.roll(m, -1, axis=1)[..., :, None])[..., 0, 0]
+    l1, l2, l3 = np.arccos(np.clip(cos_l, -1.0, 1.0)).T
+    s = 0.5 * (l1 + l2 + l3)
+    prod = (np.tan(0.5 * s) * np.tan(0.5 * (s - l1))
+            * np.tan(0.5 * (s - l2)) * np.tan(0.5 * (s - l3)))
+    area = 4.0 * np.arctan(np.sqrt(np.maximum(0.0, prod)))
+    return np.where(np.abs(det) < 1e-14, 0.0, np.where(det < 0.0, area, -area))
+
+
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic quasi-uniform sample of the unit sphere."""
     i = np.arange(count, dtype=float)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .angles import AngleAssignment
 from .complexes import Triangulation, separating_cycles
 from .sphere import (
     circle_intersection_points,
+    face_excesses,
     fibonacci_sphere,
     inversive_matrix,
-    signed_excess,
     triple_intersection_empty,
 )
 
@@ -38,6 +39,7 @@ TANGENCY_EPS = 1e-9         # |I - 1| below this counts as tangency
 GAUGE_POSITION_EPS = 1e-9   # allowed drift of the gauge caps
 ANGLE_TOL = 1e-8            # overlap angle match for target assignments
 EXCESS_TOL = 1e-6           # allowed defect of the total signed area
+PROBE_BLOCK_FLOATS = 1 << 20  # probe x cap products held at once
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +160,23 @@ def check_irreducible(tri: Triangulation, cfg,
         return IrreducibilityReport(False, {}, tuple(range(tri.n_vertices)),
                                     covering)
     probes = _witness_candidates(tri, cfg, samples)
-    # cover[i, v] <=> probe i lies strictly inside cap v
-    cover = probes @ cfg.centers.T > np.cos(radii)[None, :]
-    only_one = cover.sum(axis=1) == 1
+    cos_r = np.cos(radii)
+    rows = max(1, PROBE_BLOCK_FLOATS // tri.n_vertices)
+    # per probe, the one cap that strictly covers it, or -1; row blocks
+    # keep the probe x cap product within PROBE_BLOCK_FLOATS
+    sole = np.concatenate([
+        _sole_cover(probes[i:i + rows] @ cfg.centers.T > cos_r)
+        for i in range(0, len(probes), rows)])
     # first probe, per vertex, covered by that vertex's cap alone
-    owners, first = np.unique(cover.argmax(axis=1)[only_one],
-                              return_index=True)
-    hits = np.flatnonzero(only_one)[first]
+    owners, first = np.unique(sole[sole >= 0], return_index=True)
+    hits = np.flatnonzero(sole >= 0)[first]
     witnesses = {int(v): probes[i] for v, i in zip(owners, hits)}
     missing = tuple(v for v in range(tri.n_vertices) if v not in witnesses)
     return IrreducibilityReport(not missing, witnesses, missing, ())
+
+
+def _sole_cover(cover: np.ndarray) -> np.ndarray:
+    return np.where(cover.sum(axis=1) == 1, cover.argmax(axis=1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +292,13 @@ def check_center_triangulation(tri: Triangulation, cfg,
     stored rotation system and the signed areas have to add up to the
     full sphere area 4*pi.
     """
-    flipped = []
-    degenerate = []
-    total = 0.0
-    for f in tri.faces:
-        ex = signed_excess(cfg.centers[f[0]], cfg.centers[f[1]],
-                           cfg.centers[f[2]])
-        total += ex
-        if ex == 0.0:
-            degenerate.append(f)
-        elif ex < 0.0:
-            flipped.append(f)
+    ex = face_excesses(cfg.centers, tri.faces)
+    total = float(np.cumsum(ex)[-1])     # summed in face order
+    flipped = tuple(compress(tri.faces, ex < 0.0))
+    degenerate = tuple(compress(tri.faces, ex == 0.0))
     ok = (not flipped and not degenerate
           and abs(total - 4.0 * _PI) <= excess_tol)
-    return LayoutReport(ok, total, tuple(flipped), tuple(degenerate))
+    return LayoutReport(ok, total, flipped, degenerate)
 
 
 @dataclass(frozen=True)
@@ -308,8 +310,7 @@ class RadiiStats:
 
 def radii_bounds(tri: Triangulation, cfg) -> RadiiStats:
     """Non-gauge radii must stay below pi/2 for a gauged pattern."""
-    nongauge = [v for v in range(tri.n_vertices) if v not in cfg.gauge_face]
-    top = float(np.max(cfg.radii[nongauge])) if nongauge else float("nan")
+    top = float(np.max(np.delete(cfg.radii, cfg.gauge_face)))
     return RadiiStats(bool(top < _PI / 2), float(np.min(cfg.radii)), top)
 
 

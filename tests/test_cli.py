@@ -144,29 +144,11 @@ class TestSolve:
                          "--manifest", str(manifest_path)])
         assert code == cli.EXIT_OK
         manifest = json.loads(manifest_path.read_text())
+        assert set(manifest) == {"inputs", "options", "artifacts",
+                                 "timings_sec"}
         assert manifest["artifacts"] == [str(out_path)]
         assert manifest["inputs"]["complex"] == str(cli_ws["complex"])
         assert set(manifest["timings_sec"]) == {"solve", "verify"}
-
-    def test_env_seed_rejects_non_integer(self, cli_ws, tmp_path,
-                                          monkeypatch, capsys):
-        monkeypatch.setenv("KAT_SPHERE_SEED", "notanint")
-        code = cli.main(["solve", str(cli_ws["complex"]),
-                         str(cli_ws["angles"]),
-                         "--out", str(tmp_path / "p.json")])
-        assert code == cli.EXIT_PARSE
-        assert "KAT_SPHERE_SEED" in capsys.readouterr().err
-
-    def test_env_seed_overrides_flag(self, cli_ws, tmp_path, monkeypatch,
-                                     capsys):
-        monkeypatch.setenv("KAT_SPHERE_SEED", "271828")
-        manifest_path = tmp_path / "manifest.json"
-        code = cli.main(["solve", str(cli_ws["complex"]),
-                         str(cli_ws["angles"]), "--seed", "1",
-                         "--out", str(tmp_path / "p.json"),
-                         "--manifest", str(manifest_path)])
-        assert code == cli.EXIT_OK
-        assert json.loads(manifest_path.read_text())["seed"] == 271828
 
 
 class TestVerify:

@@ -18,8 +18,11 @@ from katsphere.angles import AngleAssignment, check_admissible
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
 from katsphere.errors import ConditionsViolated, EdgeNotOverlapping, NotAFace
 from katsphere.solver import (
+    RADIUS_CEILING,
+    RADIUS_FLOOR,
     Configuration,
     SolveOptions,
+    _gate_state,
     apply_step,
     gauge_normalize,
     initial_configuration,
@@ -37,6 +40,7 @@ from katsphere.sphere import (
     inversive_distance,
     minkowski_dot,
     plane_normal_cap,
+    signed_excess,
 )
 
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -215,6 +219,175 @@ class TestApplyStep:
         cfg = initial_configuration(oct_tri)
         with pytest.raises(ValueError):
             apply_step(cfg, np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles of the gauge chart: per-vertex, per-edge and per-face loops
+# ---------------------------------------------------------------------------
+
+def oracle_layout(tri, gauge):
+    """(tangent vertices, tangent columns, radius vertices, radius
+    columns) of the gauge chart, as dicts keyed by vertex."""
+    a, b, c = gauge
+    tangent = sorted(v for v in range(tri.n_vertices) if v not in (a, b))
+    radius = sorted(v for v in range(tri.n_vertices) if v not in (a, b, c))
+    tangent_col = {v: 1 + 2 * i for i, v in enumerate(tangent)}
+    base = 1 + 2 * len(tangent)
+    radius_col = {v: base + i for i, v in enumerate(radius)}
+    return tangent, tangent_col, radius, radius_col
+
+
+def oracle_tangent_basis(p):
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.abs(p)))] = 1.0
+    e1 = seed - float(seed @ p) * p
+    e1 = e1 / float(np.linalg.norm(e1))
+    return e1, np.cross(p, e1)
+
+
+def oracle_jacobian(cfg):
+    tri = cfg.tri
+    b = cfg.gauge_face[1]
+    tangent, tangent_col, radius, radius_col = oracle_layout(
+        tri, cfg.gauge_face)
+    P, R = cfg.centers, cfg.radii
+    cr, sr = np.cos(R), np.sin(R)
+    # the solver's edge-wise inversive distances (einsum dot products)
+    eu, ev = np.asarray(tri.edges).T
+    inv = (cr[eu] * cr[ev] - np.einsum("ij,ij->i", P[eu], P[ev])) \
+        / (sr[eu] * sr[ev])
+    scale = 1.0 / np.sqrt(np.maximum(1.0 - inv * inv, 1e-30))
+    bases = {v: oracle_tangent_basis(P[v]) for v in tangent}
+    t_b = np.array([-P[b][2], 0.0, P[b][0]])
+    J = np.zeros((tri.n_edges, 3 * tri.n_vertices - 6))
+    for row, (u, v) in enumerate(tri.edges):
+        s = scale[row]
+        denom = sr[u] * sr[v]
+        for end, other in ((u, v), (v, u)):
+            if end == b:
+                J[row, 0] = s * float(t_b @ P[other]) / denom
+            elif end in bases:
+                e1, e2 = bases[end]
+                col = tangent_col[end]
+                J[row, col] = s * float(e1 @ P[other]) / denom
+                J[row, col + 1] = s * float(e2 @ P[other]) / denom
+            if end in radius_col:
+                C = float(P[end] @ P[other])
+                J[row, radius_col[end]] = (
+                    s * (cr[other] - C * cr[end]) / (sr[end] ** 2 * sr[other]))
+    return J
+
+
+def oracle_apply_step(cfg, delta, clip_radii=False):
+    b = cfg.gauge_face[1]
+    tangent, tangent_col, radius, radius_col = oracle_layout(
+        cfg.tri, cfg.gauge_face)
+    centers = cfg.centers.copy()
+    radii = cfg.radii.copy()
+    phi = math.atan2(float(centers[b][0]), -float(centers[b][2])) \
+        + float(delta[0])
+    centers[b] = np.array([math.sin(phi), 0.0, -math.cos(phi)])
+    for v in tangent:
+        e1, e2 = oracle_tangent_basis(cfg.centers[v])
+        col = tangent_col[v]
+        p = cfg.centers[v] + delta[col] * e1 + delta[col + 1] * e2
+        centers[v] = p / np.linalg.norm(p)
+    for v in radius:
+        r = radii[v] + float(delta[radius_col[v]])
+        if clip_radii:
+            r = min(max(r, RADIUS_FLOOR + 1e-6), RADIUS_CEILING - 1e-6)
+        radii[v] = r
+    return cfg.with_data(centers, radii)
+
+
+def oracle_flipped(cfg):
+    return frozenset(
+        f for f in cfg.tri.faces
+        if signed_excess(cfg.centers[f[0]], cfg.centers[f[1]],
+                         cfg.centers[f[2]]) <= 1e-12)
+
+
+def _chart_samples(cfg, rng):
+    """The configuration itself and random steps away from it: small ones,
+    large ones that flip faces, and ones pushing radii past the box."""
+    out = [cfg]
+    n_free = 3 * cfg.tri.n_vertices - 6
+    for size in (1e-3, 0.05, 0.6):
+        out.append(oracle_apply_step(cfg, size * rng.standard_normal(n_free),
+                                     clip_radii=True))
+    return out
+
+
+@pytest.fixture(scope="module")
+def chart_cases(solved_oct, solved_bp3, solved_ico,
+                realized_geodesic42):
+    return [("octahedron", solved_oct[0]), ("bipyramid3", solved_bp3[0]),
+            ("icosahedron", solved_ico[0]),
+            ("geodesic42", realized_geodesic42[1])]
+
+
+class TestChartOracles:
+    """The array chart equals the scalar loops bit for bit."""
+
+    def test_jacobian_matches_oracle(self, chart_cases):
+        rng = np.random.default_rng(41)
+        for name, cfg in chart_cases:
+            for k, sample in enumerate(_chart_samples(cfg, rng)):
+                J = jacobian(sample)
+                assert J.flags.c_contiguous
+                assert np.array_equal(J, oracle_jacobian(sample)), (name, k)
+
+    def test_jacobian_squares_sines_like_the_oracle(self, chart_cases):
+        # radii whose sin^2 rounds differently as pow(x, 2) and as x * x
+        rng = np.random.default_rng(44)
+        odd = [r for r in rng.uniform(0.2, 1.4, 20000)
+               if math.sin(r) ** 2 != math.sin(r) * math.sin(r)]
+        for name, cfg in chart_cases:
+            radii = cfg.radii.copy()
+            free = np.delete(np.arange(cfg.tri.n_vertices), cfg.gauge_face)
+            radii[free] = np.resize(odd, len(free))
+            sample = cfg.with_data(cfg.centers, radii)
+            assert np.array_equal(jacobian(sample), oracle_jacobian(sample)), name
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_apply_step_matches_oracle(self, chart_cases, clip):
+        rng = np.random.default_rng(42)
+        for name, cfg in chart_cases:
+            n_free = 3 * cfg.tri.n_vertices - 6
+            first_radius = 1 + 2 * (cfg.tri.n_vertices - 2)
+            for k, sample in enumerate(_chart_samples(cfg, rng)):
+                wild = 0.3 * rng.standard_normal(n_free)
+                wild[first_radius:] = rng.choice([-4.0, 4.0],
+                                                 n_free - first_radius)
+                for delta in (np.zeros(n_free),
+                              0.01 * rng.standard_normal(n_free), wild):
+                    got = apply_step(sample, delta, clip_radii=clip)
+                    want = oracle_apply_step(sample, delta, clip_radii=clip)
+                    assert np.array_equal(got.centers, want.centers), (name, k)
+                    assert np.array_equal(got.radii, want.radii), (name, k)
+
+    def test_wild_steps_leave_the_box(self, chart_cases):
+        cfg = chart_cases[0][1]
+        last = np.delete(np.arange(cfg.tri.n_vertices), cfg.gauge_face)[-3:]
+        delta = np.zeros(3 * cfg.tri.n_vertices - 6)
+        delta[-3:] = (4.0, -4.0, 0.0)
+        clipped = apply_step(cfg, delta, clip_radii=True).radii[last]
+        free = apply_step(cfg, delta).radii[last]
+        assert clipped[0] == RADIUS_CEILING - 1e-6
+        assert clipped[1] == RADIUS_FLOOR + 1e-6
+        assert free[0] > math.pi and free[1] < 0.0
+
+    def test_flipped_faces_match_oracle(self, chart_cases):
+        rng = np.random.default_rng(43)
+        flips = 0
+        for name, cfg in chart_cases:
+            mirrored = cfg.with_data(cfg.centers * np.array([1.0, -1.0, 1.0]),
+                                     cfg.radii)
+            for k, sample in enumerate(_chart_samples(cfg, rng) + [mirrored]):
+                want = oracle_flipped(sample)
+                assert _gate_state(sample)[0] == want, (name, k)
+                flips += len(want)
+        assert flips > 0
 
 
 class TestGaugeNormalize:

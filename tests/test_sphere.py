@@ -28,6 +28,7 @@ from katsphere.sphere import (
     center_distance,
     circle_intersection_points,
     excess_lhuilier,
+    face_excesses,
     fibonacci_sphere,
     inversive_distance,
     inversive_matrix,
@@ -570,6 +571,45 @@ class TestSignedExcess:
 
     def test_degenerate_is_zero(self):
         assert signed_excess(EX, EX, EY) == 0.0
+
+    @pytest.mark.parametrize("pattern", ["solved_oct", "solved_ico",
+                                         "realized_geodesic42"])
+    def test_face_excesses_match_scalar_on_patterns(self, pattern, request):
+        cfg = request.getfixturevalue(pattern)
+        cfg = cfg[1] if pattern.startswith("realized") else cfg[0]
+        faces = list(cfg.tri.faces)
+        faces += [(k, j, i) for (i, j, k) in faces]       # flipped
+        got = face_excesses(cfg.centers, faces)
+        want = np.array([signed_excess(*cfg.centers[list(f)]) for f in faces])
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_face_excesses_match_scalar_on_random_triples(self, rng):
+        pts = rng.standard_normal((40, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        meridian = np.array([[math.sin(t), 0.0, math.cos(t)]
+                             for t in (0.3, 1.1, 2.0, 2.9)])
+        meridian[3, 1] = 1e-15          # determinant below the 1e-14 cut
+        centers = np.vstack([pts, meridian])
+        faces = [tuple(int(x) for x in rng.choice(40, 3, replace=False))
+                 for _ in range(100)]
+        faces += [(k, j, i) for (i, j, k) in faces]       # flipped
+        faces += [(40, 41, 42), (41, 42, 43), (43, 41, 40),  # collinear
+                  (0, 0, 1), (2, 3, 3)]                    # repeated
+        got = face_excesses(centers, faces)
+        want = np.array([signed_excess(*centers[list(f)]) for f in faces])
+        assert np.array_equal(np.sign(got), np.sign(want))
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.sum(want == 0.0) == 5
+        # L'Huilier's tan(0.5 (s - l)) cancels on thin triangles, which
+        # magnifies a one-ulp difference of arccos or tan by s / (s - l)
+        m = centers[np.array(faces)]
+        lengths = np.array([[sph_dist(*m[f, [i, (i + 1) % 3]])
+                             for i in range(3)] for f in range(len(faces))])
+        s = 0.5 * lengths.sum(axis=1, keepdims=True)
+        cond = 1.0 + np.sum(s / np.maximum(s - lengths, 1e-300), axis=1)
+        bound = 64.0 * np.finfo(float).eps * cond * np.abs(want)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestFibonacci:

@@ -21,6 +21,7 @@ import pytest
 
 from katsphere.angles import AngleAssignment
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
+from katsphere import verify
 from katsphere.solver import Configuration, _gate_state, solve
 from katsphere.sphere import inversive_distance, point_in_cap, sph_dist
 from katsphere.verify import (
@@ -218,6 +219,22 @@ class TestIrreducibility:
         assert not rep.ok
         assert rep.witnesses == {}
         assert rep.inconclusive == tuple(range(6))
+
+
+    @pytest.mark.parametrize("block_rows", [1, 5])
+    def test_probe_blocks_do_not_change_the_report(self, realized_geodesic42,
+                                                   monkeypatch, block_rows):
+        tri, cfg, _ = realized_geodesic42
+        want = check_irreducible(tri, cfg)
+        monkeypatch.setattr(verify, "PROBE_BLOCK_FLOATS",
+                            block_rows * tri.n_vertices)
+        got = check_irreducible(tri, cfg)
+        assert want.ok and got.ok
+        assert (got.inconclusive, got.covering_caps) == (
+            want.inconclusive, want.covering_caps)
+        assert list(got.witnesses) == list(want.witnesses)
+        for v, w in want.witnesses.items():
+            assert np.array_equal(got.witnesses[v], w)
 
 
 class TestSeparatingTriples:
