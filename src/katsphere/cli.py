@@ -77,7 +77,6 @@ def cmd_validate(args) -> int:
         rep = check_dual_admissible(dual, theta)
     else:
         _, tri = jsonio.load_complex(args.complex)
-        theta.check_domain(tri.edges)
         rep = check_admissible(tri, theta)
     _print_condition_report(rep)
     return EXIT_OK if rep.ok else EXIT_GATE
@@ -86,7 +85,6 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     _, tri = jsonio.load_complex(args.complex)
     theta = jsonio.load_angles(args.angles, degrees=args.degrees)
-    theta.check_domain(tri.edges)
     adm = check_admissible(tri, theta)
     if not adm.ok:
         _print_condition_report(adm, out=sys.stderr)

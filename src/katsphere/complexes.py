@@ -64,7 +64,6 @@ class Triangulation:
         self.faces = faces
         self.n_vertices = n_vertices
         self.edges = edges                      # sorted; fixes coordinate order
-        self.edge_index = {e: i for i, e in enumerate(edges)}
         self.neighbors = neighbors              # cyclic rotation order per vertex
         self.adjacent = tuple(frozenset(nb) for nb in neighbors)
         self.vertex_face_cycles = vertex_face_cycles  # face indices around each vertex

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
-from .angles import AngleAssignment, check_admissible, interpolate
+from .angles import AngleAssignment, check_admissible
 from .complexes import Triangulation
 from .errors import (
     ConditionsViolated,
@@ -63,6 +62,19 @@ RADIUS_FLOOR = 0.01
 RADIUS_CEILING = _PI - 0.01
 _GAUGE_RADIUS = _PI / 2
 
+# Levenberg-Marquardt damping and homotopy walk
+MAX_ITERATIONS = 250       # per homotopy target
+INITIAL_DAMPING = 1e-3
+DAMPING_GROW = 10.0
+DAMPING_SHRINK = 3.0
+DAMPING_MAX = 1e10
+ANCHOR_ATTEMPTS = 10       # cold starts tried per gauge
+HOMOTOPY_STEP = 0.25
+STEP_GROW = 1.5
+STEP_SHRINK = 0.5
+MIN_STEP = 1e-4
+REPAIR_ATTEMPTS = 80
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -79,9 +91,6 @@ class Configuration:
 
     def cap(self, v: int) -> Cap:
         return Cap(self.centers[v], float(self.radii[v]))
-
-    def caps(self) -> list[Cap]:
-        return [self.cap(v) for v in range(self.tri.n_vertices)]
 
     def with_data(self, centers: np.ndarray, radii: np.ndarray) -> "Configuration":
         return replace(self, centers=centers, radii=radii)
@@ -114,18 +123,7 @@ class SolveReport:
 @dataclass(frozen=True)
 class SolveOptions:
     tolerance: float = 1e-10
-    max_iterations: int = 250          # per homotopy target
-    initial_damping: float = 1e-3
-    damping_grow: float = 10.0
-    damping_shrink: float = 3.0
-    damping_max: float = 1e10
-    anchor_attempts: int = 10          # cold starts tried per gauge
     fallback_gauges: int = 6           # other faces tried when the gauge resists
-    homotopy_step: float = 0.25
-    step_grow: float = 1.5
-    step_shrink: float = 0.5
-    min_step: float = 1e-4
-    repair_attempts: int = 80
     first_anchor: float | None = None  # interpolation parameter tried first
 
 
@@ -220,9 +218,8 @@ def initial_configuration(tri: Triangulation, gauge_face=None) -> Configuration:
     side_mid = {a: 0.5 * (m_ab + m_ca),    # midpoint of the side on circle a
                 b: 0.5 * (m_ab + m_bc),
                 c: 0.5 * (m_bc + m_ca)}
-    corner = {frozenset((a, b)): m_ab,
-              frozenset((b, c)): m_bc,
-              frozenset((c, a)): m_ca}
+    corner = {tuple(sorted(pair)): m for pair, m in
+              (((a, b), m_ab), ((b, c), m_bc), ((c, a), m_ca))}
     centroid = (m_ab + m_bc + m_ca) / 3.0
 
     def anchor_for(v: int) -> np.ndarray:
@@ -231,9 +228,9 @@ def initial_configuration(tri: Triangulation, gauge_face=None) -> Configuration:
         A vertex tied to one gauge circle belongs near that side; tied to
         two, near their shared corner; tied to all three, in the middle.
         """
-        gs = frozenset(gauge) & frozenset(tri.neighbors[v])
+        gs = tuple(g for g in sorted(gauge) if g in tri.adjacent[v])
         if len(gs) == 1:
-            return side_mid[next(iter(gs))]
+            return side_mid[gs[0]]
         if len(gs) == 2:
             return corner[gs]
         return centroid
@@ -366,13 +363,11 @@ def jacobian(cfg: Configuration) -> np.ndarray:
     return J
 
 
-def apply_step(cfg: Configuration, delta: np.ndarray,
-               clip_radii: bool = False) -> Configuration:
+def apply_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
     """Move the free coordinates by `delta`, staying exactly in gauge.
 
-    With clip_radii the updated radii are clamped just inside the
-    feasibility box, letting a descent step slide along the wall instead
-    of being rejected outright.
+    The updated radii are clamped just inside the feasibility box, letting
+    a descent step slide along the wall instead of being rejected outright.
     """
     lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
     if delta.shape != (lay.n_free,):
@@ -391,10 +386,8 @@ def apply_step(cfg: Configuration, delta: np.ndarray,
     centers[moved] = p / np.sqrt(_rowdot(p, p))[:, None]
 
     sized = lay.col[:, 2] >= 0
-    radii[sized] += delta[lay.col[sized, 2]]
-    if clip_radii:
-        radii[sized] = np.clip(radii[sized], RADIUS_FLOOR + 1e-6,
-                               RADIUS_CEILING - 1e-6)
+    radii[sized] = np.clip(radii[sized] + delta[lay.col[sized, 2]],
+                           RADIUS_FLOOR + 1e-6, RADIUS_CEILING - 1e-6)
     return cfg.with_data(centers, radii)
 
 
@@ -456,15 +449,14 @@ def regauge(cfg: Configuration, gauge_face) -> Configuration:
 # feasibility gates
 # ---------------------------------------------------------------------------
 
-def _gate_state(cfg: Configuration) -> tuple[frozenset, frozenset]:
-    """Current soft-violation instances: flipped faces and overlapping
-    non-adjacent pairs."""
+def _gate_state(cfg: Configuration) -> np.ndarray:
+    """Soft-violation mask: flipped faces in tri.faces order, then
+    overlapping non-adjacent pairs in tri.nonadjacent_pairs order."""
     tri = cfg.tri
-    flipped = frozenset(compress(
-        tri.faces, face_excesses(cfg.centers, tri.faces) <= 1e-12))
     pu, pv = tri.nonadjacent_pairs
-    bad = inversive_matrix(cfg.centers, cfg.radii)[pu, pv] <= 1.0
-    return flipped, frozenset(zip(pu[bad].tolist(), pv[bad].tolist()))
+    return np.concatenate([
+        face_excesses(cfg.centers, tri.faces) <= 1e-12,
+        inversive_matrix(cfg.centers, cfg.radii)[pu, pv] <= 1.0])
 
 
 def _hard_feasible(cfg: Configuration, lay: _Layout) -> bool:
@@ -477,21 +469,11 @@ def _hard_feasible(cfg: Configuration, lay: _Layout) -> bool:
     return not (np.any(r <= RADIUS_FLOOR) or np.any(r >= RADIUS_CEILING))
 
 
-def _acceptable(cfg: Configuration, lay: _Layout,
-                prev: tuple[frozenset, frozenset]) -> tuple[bool, tuple]:
-    if not _hard_feasible(cfg, lay):
-        return False, prev
-    state = _gate_state(cfg)
-    if not (state[0] <= prev[0] and state[1] <= prev[1]):
-        return False, prev
-    return True, state
-
-
 # ---------------------------------------------------------------------------
 # repair and the inner Levenberg-Marquardt loop
 # ---------------------------------------------------------------------------
 
-def _repair_overlaps(cfg: Configuration, attempts: int) -> tuple[Configuration, int]:
+def _repair_overlaps(cfg: Configuration) -> tuple[Configuration, int]:
     """Nudge radii until every edge pair genuinely crosses.
 
     Edges with inversive distance at or above 1 (boundaries separated) get
@@ -503,7 +485,7 @@ def _repair_overlaps(cfg: Configuration, attempts: int) -> tuple[Configuration, 
     gauge = set(cfg.gauge_face)
     radii = cfg.radii.copy()
     repairs = 0
-    for _ in range(attempts):
+    for _ in range(REPAIR_ATTEMPTS):
         work = cfg.with_data(cfg.centers, radii)
         inv = _inversive_all(work)
         lost = np.nonzero(inv >= 1.0 - 1e-3)[0]
@@ -525,121 +507,125 @@ def _repair_overlaps(cfg: Configuration, attempts: int) -> tuple[Configuration, 
     return cfg.with_data(cfg.centers, radii), repairs
 
 
-def _levenberg(cfg: Configuration, target: np.ndarray, opts: SolveOptions,
-               state: tuple[frozenset, frozenset]
-               ) -> tuple[Configuration, tuple, bool, int, float, float]:
-    """Solve one homotopy target.  Returns (cfg, state, converged,
-    iterations, damping, last_step_norm)."""
+def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float
+               ) -> tuple[Configuration, bool, int, float, float]:
+    """Solve one homotopy target.  Returns (cfg, converged, iterations,
+    damping, last_step_norm).
+
+    A trial is accepted when it stays inside the hard box, adds no soft
+    violation to those of the current iterate and lowers the cost.
+    """
     lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
-    lam = opts.initial_damping
+    lam = INITIAL_DAMPING
     r = _residual_or_none(cfg, target)
     if r is None:
-        return cfg, state, False, 0, lam, 0.0
+        return cfg, False, 0, lam, 0.0
+    state = _gate_state(cfg)
     cost = float(r @ r)
     step_norm = 0.0
-    for it in range(1, opts.max_iterations + 1):
-        if float(np.max(np.abs(r))) < opts.tolerance:
-            return cfg, state, True, it - 1, lam, step_norm
+    for it in range(1, MAX_ITERATIONS + 1):
+        if float(np.max(np.abs(r))) < tolerance:
+            return cfg, True, it - 1, lam, step_norm
         J = jacobian(cfg)
         g = J.T @ r
         JtJ = J.T @ J
         diag = np.diag(JtJ).copy()
         diag[diag < 1e-12] = 1e-12
         accepted = False
-        while lam <= opts.damping_max:
+        while lam <= DAMPING_MAX:
             try:
                 delta = np.linalg.solve(JtJ + lam * np.diag(diag), -g)
             except np.linalg.LinAlgError:
-                lam *= opts.damping_grow
+                lam *= DAMPING_GROW
                 continue
-            trial = apply_step(cfg, delta, clip_radii=True)
-            ok, new_state = _acceptable(trial, lay, state)
-            if ok:
-                r_trial = _residual_or_none(trial, target)
+            trial = apply_step(cfg, delta)
+            if _hard_feasible(trial, lay):
+                trial_state = _gate_state(trial)
+                r_trial = (None if (trial_state & ~state).any()
+                           else _residual_or_none(trial, target))
                 if r_trial is not None and float(r_trial @ r_trial) < cost:
                     step_norm = float(np.linalg.norm(delta))
-                    cfg, r, state = trial, r_trial, new_state
+                    cfg, r, state = trial, r_trial, trial_state
                     cost = float(r_trial @ r_trial)
-                    lam = max(lam / opts.damping_shrink, 1e-13)
+                    lam = max(lam / DAMPING_SHRINK, 1e-13)
                     accepted = True
                     break
-            lam *= opts.damping_grow
+            lam *= DAMPING_GROW
         if not accepted:
-            return cfg, state, False, it, lam, step_norm
-    converged = float(np.max(np.abs(r))) < opts.tolerance
-    return cfg, state, converged, opts.max_iterations, lam, step_norm
+            return cfg, False, it, lam, step_norm
+    converged = float(np.max(np.abs(r))) < tolerance
+    return cfg, converged, MAX_ITERATIONS, lam, step_norm
 
 
 # ---------------------------------------------------------------------------
 # public solve
 # ---------------------------------------------------------------------------
 
-def _anchor_schedule(attempts: int) -> list[float]:
+def _anchor_schedule() -> list[float]:
     """Cold-start interpolation parameters: s = 1 first, then a dyadic
     grid refined from the middle, preferring values closer to 1."""
     out = [1.0]
     level = 2
-    while len(out) < attempts:
+    while len(out) < ANCHOR_ATTEMPTS:
         vals = sorted((k / level for k in range(1, level, 2)), reverse=True)
         out.extend(vals)
         level *= 2
-    return out[:attempts]
+    return out[:ANCHOR_ATTEMPTS]
 
 
-def _solve_in_gauge(tri: Triangulation, theta: AngleAssignment, gauge,
+def _solve_in_gauge(tri: Triangulation, prescribed: np.ndarray, gauge,
                     opts: SolveOptions
                     ) -> tuple[Configuration, bool, int, list[HomotopyRecord], int]:
-    """Run the cold-start schedule and homotopy walk in one fixed gauge."""
+    """Run the cold-start schedule and homotopy walk in one fixed gauge.
+
+    `prescribed` holds the target angles in tri.edges order; the target
+    at parameter s pulls them toward the uniform pi/3 assignment, rounding
+    exactly like angles.interpolate.
+    """
     cfg = initial_configuration(tri, gauge)
-    cfg, repairs = _repair_overlaps(cfg, opts.repair_attempts)
-    state = _gate_state(cfg)
+    cfg, repairs = _repair_overlaps(cfg)
     records: list[HomotopyRecord] = []
     total_iters = 0
 
-    def target_for(s: float) -> np.ndarray:
-        th_s = interpolate(theta, s)
-        return np.array([th_s[e] for e in tri.edges])
-
-    def try_target(c0: Configuration, st, s: float):
-        tgt = target_for(s)
-        out, st2, ok, iters, lam, step_norm = _levenberg(c0, tgt, opts, st)
+    def try_target(c0: Configuration, s: float):
+        tgt = s * prescribed + (1.0 - s) * (_PI / 3.0)
+        out, ok, iters, lam, step_norm = _levenberg(c0, tgt, opts.tolerance)
         if ok:
             ok = radii_bounds(tri, out).ok
-        return out, st2, ok, iters, lam, step_norm, _residual_inf(out, tgt)
+        return out, ok, iters, lam, step_norm, _residual_inf(out, tgt)
 
     # cold starts: the prescribed angles directly, then interpolated
     # targets on a refining grid until one leg converges
-    schedule = _anchor_schedule(opts.anchor_attempts)
+    schedule = _anchor_schedule()
     if opts.first_anchor is not None:
         schedule = [opts.first_anchor] + [s_val for s_val in schedule
                                           if s_val != opts.first_anchor]
     s = None
     for s_try in schedule:
-        out, st2, ok, iters, lam, step_norm, rinf = try_target(
-            cfg, state, s_try)
+        out, ok, iters, lam, step_norm, rinf = try_target(cfg, s_try)
         total_iters += iters
         if ok:
-            cfg, state, s = out, st2, s_try
+            cfg, s = out, s_try
             records.append(_record(cfg, s, iters, lam, step_norm, rinf))
             break
     if s is None:
         return cfg, False, total_iters, records, repairs
 
     # walk s to 1 with an adaptive step, warm starting each leg
-    step = opts.homotopy_step
+    step = HOMOTOPY_STEP
     while s < 1.0:
         s_next = min(1.0, s + step)
-        out, st2, ok, iters, lam, step_norm, rinf = try_target(cfg, state, s_next)
+        out, ok, iters, lam, step_norm, rinf = try_target(cfg, s_next)
         total_iters += iters
         if ok:
-            cfg, state, s = out, st2, s_next
+            cfg, s = out, s_next
             records.append(_record(cfg, s, iters, lam, step_norm, rinf))
-            step = min(step * opts.step_grow, 0.5)
+            step = min(step * STEP_GROW, 0.5)
         else:
-            step *= opts.step_shrink
-            if step < opts.min_step:
+            step *= STEP_SHRINK
+            if step < MIN_STEP:
                 return cfg, False, total_iters, records, repairs
-    done = _residual_inf(cfg, target_for(1.0)) < opts.tolerance
+    done = _residual_inf(cfg, prescribed) < opts.tolerance
     return cfg, done, total_iters, records, repairs
 
 
@@ -648,22 +634,25 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
           ) -> tuple[Configuration, SolveReport]:
     """Compute the gauged circle pattern for an admissible assignment.
 
-    Raises ConditionsViolated when the admissibility check fails and
-    NotAFace for a bad gauge face.  Numerical failure is reported through
-    SolveReport.converged = False with a failure reason, never by an
-    exception.
+    Raises ConditionsViolated when the admissibility check fails, NotAFace
+    for a bad gauge face and ValueError for a first anchor outside [0, 1].
+    Numerical failure is reported through SolveReport.converged = False
+    with a failure reason, never by an exception.
 
     If the requested gauge resists direct solution, the pattern is solved
     in another gauge and carried over by a sphere inversion, which leaves
     all overlap angles unchanged.
     """
     opts = options or SolveOptions()
-    theta.check_domain(tri.edges)
     report = check_admissible(tri, theta)
     if not report.ok:
         raise ConditionsViolated(report)
 
     requested = _require_oriented_face(tri, gauge_face or tri.faces[0])
+    s0 = opts.first_anchor
+    if s0 is not None and not 0.0 <= s0 <= 1.0:
+        raise ValueError(f"interpolation parameter {s0} outside [0, 1]")
+    target = np.array([theta[e] for e in tri.edges])
     total_iters = 0
     cfg = best = None
     records: list[HomotopyRecord] = []
@@ -671,7 +660,7 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
 
     faces = [requested] + [f for f in tri.faces if f != requested]
     for gauge in faces[:1 + opts.fallback_gauges]:
-        cfg, done, iters, recs, reps = _solve_in_gauge(tri, theta, gauge, opts)
+        cfg, done, iters, recs, reps = _solve_in_gauge(tri, target, gauge, opts)
         total_iters += iters
         if not records:
             records, repairs = recs, reps
@@ -679,7 +668,6 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
             best, records, repairs = cfg, recs, reps
             break
 
-    target = np.array([theta[e] for e in tri.edges])
     if best is None:
         return cfg, SolveReport(
             converged=False, residual_inf=_residual_inf(cfg, target),
@@ -689,8 +677,7 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
     if best.gauge_face != requested:
         best = regauge(best, requested)
         # polish away the float noise of the transfer
-        state = _gate_state(best)
-        best, _, _, it2, _, _ = _levenberg(best, target, opts, state)
+        best, _, it2, _, _ = _levenberg(best, target, opts.tolerance)
         total_iters += it2
 
     res_inf = _residual_inf(best, target)

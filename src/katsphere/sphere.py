@@ -355,32 +355,31 @@ def signed_excess(p_i, p_j, p_k) -> float:
     The sign is positive when the triple winds counterclockwise in the
     stereographic charts used by the gauge normalization, which is
     det[p_i, p_j, p_k] < 0 in ambient coordinates.  Degenerate triples
-    (near-collinear centers) return 0.
+    (near-collinear centers) return 0.  The area comes from Van Oosterom
+    and Strackee's tan(E/2) = |det| / (1 + p.q + q.r + r.p), which stays
+    accurate on thin triangles where L'Huilier's formula cancels.
     """
     m = np.vstack([p_i, p_j, p_k])
     det = float(np.linalg.det(m))
     if abs(det) < 1e-14:
         return 0.0
-    area = excess_lhuilier(sph_dist(p_i, p_j), sph_dist(p_j, p_k),
-                           sph_dist(p_k, p_i))
+    p, q, r = m
+    denom = 1.0 + float(p @ q) + float(q @ r) + float(r @ p)
+    area = 2.0 * math.atan2(abs(det), denom)
     return area if det < 0.0 else -area
 
 
 def face_excesses(centers: np.ndarray, faces) -> np.ndarray:
     """signed_excess of every face's center triple, as one array.
 
-    Signs and zeros come from the same determinant test.  numpy's arccos,
-    tan and arctan may round an ulp away from the math module's, and
-    L'Huilier's formula magnifies that on thin triangles.
+    Signs and zeros come from the same determinant test; numpy's arctan2
+    may round an ulp away from math.atan2.
     """
     m = centers[np.asarray(faces)]
     det = np.linalg.det(m)
-    cos_l = (m[..., None, :] @ np.roll(m, -1, axis=1)[..., :, None])[..., 0, 0]
-    l1, l2, l3 = np.arccos(np.clip(cos_l, -1.0, 1.0)).T
-    s = 0.5 * (l1 + l2 + l3)
-    prod = (np.tan(0.5 * s) * np.tan(0.5 * (s - l1))
-            * np.tan(0.5 * (s - l2)) * np.tan(0.5 * (s - l3)))
-    area = 4.0 * np.arctan(np.sqrt(np.maximum(0.0, prod)))
+    dots = (m[..., None, :] @ np.roll(m, -1, axis=1)[..., :, None])[..., 0, 0]
+    area = 2.0 * np.arctan2(np.abs(det),
+                            1.0 + dots[:, 0] + dots[:, 1] + dots[:, 2])
     return np.where(np.abs(det) < 1e-14, 0.0, np.where(det < 0.0, area, -area))
 
 

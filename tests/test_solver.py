@@ -278,7 +278,7 @@ def oracle_jacobian(cfg):
     return J
 
 
-def oracle_apply_step(cfg, delta, clip_radii=False):
+def oracle_apply_step(cfg, delta):
     b = cfg.gauge_face[1]
     tangent, tangent_col, radius, radius_col = oracle_layout(
         cfg.tri, cfg.gauge_face)
@@ -294,9 +294,7 @@ def oracle_apply_step(cfg, delta, clip_radii=False):
         centers[v] = p / np.linalg.norm(p)
     for v in radius:
         r = radii[v] + float(delta[radius_col[v]])
-        if clip_radii:
-            r = min(max(r, RADIUS_FLOOR + 1e-6), RADIUS_CEILING - 1e-6)
-        radii[v] = r
+        radii[v] = min(max(r, RADIUS_FLOOR + 1e-6), RADIUS_CEILING - 1e-6)
     return cfg.with_data(centers, radii)
 
 
@@ -313,8 +311,7 @@ def _chart_samples(cfg, rng):
     out = [cfg]
     n_free = 3 * cfg.tri.n_vertices - 6
     for size in (1e-3, 0.05, 0.6):
-        out.append(oracle_apply_step(cfg, size * rng.standard_normal(n_free),
-                                     clip_radii=True))
+        out.append(oracle_apply_step(cfg, size * rng.standard_normal(n_free)))
     return out
 
 
@@ -349,8 +346,7 @@ class TestChartOracles:
             sample = cfg.with_data(cfg.centers, radii)
             assert np.array_equal(jacobian(sample), oracle_jacobian(sample)), name
 
-    @pytest.mark.parametrize("clip", [False, True])
-    def test_apply_step_matches_oracle(self, chart_cases, clip):
+    def test_apply_step_matches_oracle(self, chart_cases):
         rng = np.random.default_rng(42)
         for name, cfg in chart_cases:
             n_free = 3 * cfg.tri.n_vertices - 6
@@ -361,8 +357,8 @@ class TestChartOracles:
                                                  n_free - first_radius)
                 for delta in (np.zeros(n_free),
                               0.01 * rng.standard_normal(n_free), wild):
-                    got = apply_step(sample, delta, clip_radii=clip)
-                    want = oracle_apply_step(sample, delta, clip_radii=clip)
+                    got = apply_step(sample, delta)
+                    want = oracle_apply_step(sample, delta)
                     assert np.array_equal(got.centers, want.centers), (name, k)
                     assert np.array_equal(got.radii, want.radii), (name, k)
 
@@ -371,11 +367,9 @@ class TestChartOracles:
         last = np.delete(np.arange(cfg.tri.n_vertices), cfg.gauge_face)[-3:]
         delta = np.zeros(3 * cfg.tri.n_vertices - 6)
         delta[-3:] = (4.0, -4.0, 0.0)
-        clipped = apply_step(cfg, delta, clip_radii=True).radii[last]
-        free = apply_step(cfg, delta).radii[last]
+        clipped = apply_step(cfg, delta).radii[last]
         assert clipped[0] == RADIUS_CEILING - 1e-6
         assert clipped[1] == RADIUS_FLOOR + 1e-6
-        assert free[0] > math.pi and free[1] < 0.0
 
     def test_flipped_faces_match_oracle(self, chart_cases):
         rng = np.random.default_rng(43)
@@ -383,9 +377,11 @@ class TestChartOracles:
         for name, cfg in chart_cases:
             mirrored = cfg.with_data(cfg.centers * np.array([1.0, -1.0, 1.0]),
                                      cfg.radii)
+            faces = cfg.tri.faces
             for k, sample in enumerate(_chart_samples(cfg, rng) + [mirrored]):
                 want = oracle_flipped(sample)
-                assert _gate_state(sample)[0] == want, (name, k)
+                got = _gate_state(sample)[:len(faces)]
+                assert got.tolist() == [f in want for f in faces], (name, k)
                 flips += len(want)
         assert flips > 0
 
@@ -580,11 +576,42 @@ class TestSolve:
             assert rec.max_nongauge_radius < math.pi / 2
             assert rec.residual_inf < 1e-10
 
+    def test_first_anchor_outside_unit_interval_raises(self, oct_tri):
+        theta = AngleAssignment.constant(oct_tri, OCT_ANGLE)
+        for s0 in (-0.25, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                solve(oct_tri, theta, options=SolveOptions(first_anchor=s0))
+
     def test_report_separation_margin(self, oct_tri):
         theta = AngleAssignment.constant(oct_tri, OCT_ANGLE)
         _, rep = solve(oct_tri, theta)
         assert rep.targets[-1].separation_margin == pytest.approx(
             OCT_MARGIN, abs=1e-9)
+
+
+UNIFORM = 2.0 * math.pi / 5.0
+
+
+@pytest.mark.parametrize("tri,theta,want", [
+    (octahedron(), UNIFORM, (True, 6, 0, (1.0,), None)),
+    (bipyramid(3), None, (True, 15, 0, (1.0,), None)),
+    (icosahedron(), 0.45 * math.pi, (True, 10, 0, (1.0,), None)),
+    (bipyramid(6), UNIFORM, (True, 11, 0, (1.0,), None)),
+    (bipyramid(7), UNIFORM, (True, 16, 1, (1.0,), None)),
+    (bipyramid(8), UNIFORM, (True, 17, 2, (1.0,), None)),
+    (bipyramid(9), UNIFORM, (True, 59, 2, (0.5, 0.75, 1.0), None)),
+    (bipyramid(10), UNIFORM, (False, 0, 80, (), "homotopy_stalled")),
+], ids=["octahedron", "bipyramid3", "icosahedron", "bipyramid6",
+        "bipyramid7", "bipyramid8", "bipyramid9", "bipyramid10"])
+def test_frozen_trajectory(tri, theta, want):
+    """Frozen counters of the default solve: converged, LM iterations,
+    repairs, the parameters s of the accepted homotopy targets and the
+    failure reason."""
+    theta = (bp3_assignment(tri) if theta is None
+             else AngleAssignment.constant(tri, theta))
+    _, rep = solve(tri, theta)
+    assert (rep.converged, rep.iterations, rep.repairs,
+            tuple(t.s for t in rep.targets), rep.failure_reason) == want
 
 
 class TestDegenerationPath:

@@ -601,15 +601,32 @@ class TestSignedExcess:
         assert np.array_equal(np.sign(got), np.sign(want))
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.sum(want == 0.0) == 5
-        # L'Huilier's tan(0.5 (s - l)) cancels on thin triangles, which
-        # magnifies a one-ulp difference of arccos or tan by s / (s - l)
-        m = centers[np.array(faces)]
-        lengths = np.array([[sph_dist(*m[f, [i, (i + 1) % 3]])
-                             for i in range(3)] for f in range(len(faces))])
-        s = 0.5 * lengths.sum(axis=1, keepdims=True)
-        cond = 1.0 + np.sum(s / np.maximum(s - lengths, 1e-300), axis=1)
-        bound = 64.0 * np.finfo(float).eps * cond * np.abs(want)
-        assert np.all(np.abs(got - want) <= bound)
+        # the same formula both ways; numpy's arctan2 may round an ulp
+        # away from math.atan2
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
+    def test_thin_right_triangles(self):
+        # legs a, b along two orthogonal meridians: tan(E/2) =
+        # tan(a/2) tan(b/2); below the 1e-14 determinant cut the area
+        # (under 5e-15 here) counts as degenerate
+        legs = np.geomspace(1e-8, 1.5, 25)
+        cut = 0
+        for a in legs:
+            for b in legs:
+                m = np.array([[0.0, 0.0, 1.0],
+                              [math.sin(a), 0.0, math.cos(a)],
+                              [0.0, math.sin(b), math.cos(b)]])
+                want = 2.0 * math.atan(math.tan(a / 2) * math.tan(b / 2))
+                got = [signed_excess(m[0], m[2], m[1]),
+                       -signed_excess(m[0], m[1], m[2]),
+                       *face_excesses(m, [(0, 2, 1), (2, 1, 0)]),
+                       *-face_excesses(m, [(0, 1, 2), (1, 2, 0)])]
+                if abs(np.linalg.det(m)) < 1e-14:
+                    cut += 1
+                    assert all(g == 0.0 for g in got) and want < 5e-15, (a, b)
+                else:
+                    assert max(abs(g - want) for g in got) <= 1e-15, (a, b)
+        assert 0 < cut < 25 * 25
 
 
 class TestFibonacci:
