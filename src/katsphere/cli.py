@@ -85,13 +85,13 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     _, tri = jsonio.load_complex(args.complex)
     theta = jsonio.load_angles(args.angles, degrees=args.degrees)
-    adm = check_admissible(tri, theta)
-    if not adm.ok:
-        _print_condition_report(adm, out=sys.stderr)
-        return EXIT_GATE
     opts = SolveOptions(tolerance=args.tol, first_anchor=args.s0)
     t0 = time.perf_counter()
-    cfg, rep = solve(tri, theta, options=opts)
+    try:
+        cfg, rep = solve(tri, theta, options=opts)
+    except ConditionsViolated as exc:     # solve checks admissibility first
+        _print_condition_report(exc.args[0], out=sys.stderr)
+        return EXIT_GATE
     solve_time = time.perf_counter() - t0
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(jsonio.dump_pattern(cfg, rep, theta))

@@ -82,6 +82,16 @@ class Triangulation:
         return len(self.neighbors[v])
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (E, 2) index array, in tri.edges order."""
+        return _frozen_index_array(self.edges, 2)
+
+    @cached_property
+    def face_array(self) -> np.ndarray:
+        """The faces as a read-only (F, 3) index array, in tri.faces order."""
+        return _frozen_index_array(self.faces, 3)
+
+    @cached_property
     def nonadjacent_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (us, vs) of the vertex pairs u < v that share no
         edge, in lexicographic order."""
@@ -107,6 +117,12 @@ class Triangulation:
     def __repr__(self) -> str:
         return (f"Triangulation(V={self.n_vertices}, E={self.n_edges}, "
                 f"F={self.n_faces})")
+
+
+def _frozen_index_array(rows, width: int) -> np.ndarray:
+    out = np.array(rows, dtype=int).reshape(-1, width)
+    out.setflags(write=False)
+    return out
 
 
 def build_triangulation(faces: Iterable[Iterable[int]]) -> Triangulation:

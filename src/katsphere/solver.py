@@ -25,15 +25,26 @@ frame's first vector is the meridian tangent; the tangent pairs of the
 other vertices follow in vertex order, then the non-gauge radii.  The
 Jacobian and the step are array passes over this map.
 
-The target angles are reached by a homotopy that pulls the prescribed
-assignment toward the uniform pi/3 assignment and walks back out, warm
-starting each leg from the previous solution.
+`solve` first tries a direct leg in a chart without a gauge.  Every
+vertex has three free coordinates there: its tangent pair and
+x = log tan(r/2), which covers all radii in (0, pi).  Nothing is pinned;
+the Levenberg-Marquardt damping absorbs the six-dimensional Moebius null
+space.  The leg starts from a Tutte embedding with the gauge face as the
+outer triangle, lifted to the sphere and centered by Moebius boosts, and
+aims straight at the prescribed angles.  Its answer is moved into the
+face gauge by `regauge` and polished there.
+
+When the direct leg misses, the target angles are reached in the face
+gauge by a homotopy that pulls the prescribed assignment toward the
+uniform pi/3 assignment and walks back out, warm starting each leg from
+the previous solution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +69,7 @@ from .verify import radii_bounds, separation_margin
 
 _PI = math.pi
 
-RADIUS_FLOOR = 0.01
+RADIUS_FLOOR = 1e-6
 RADIUS_CEILING = _PI - 0.01
 _GAUGE_RADIUS = _PI / 2
 
@@ -74,6 +85,11 @@ STEP_GROW = 1.5
 STEP_SHRINK = 0.5
 MIN_STEP = 1e-4
 REPAIR_ATTEMPTS = 80
+
+# cold start of the direct leg
+TUTTE_RADIUS = 0.55        # start radius per longest incident edge
+CENTERING_STEPS = 100      # Moebius boosts tried to center the start
+CENTERING_TOL = 1e-6       # centroid distance from the origin that suffices
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +173,15 @@ class _Layout:
         col[b, 0] = 0
         radius = np.delete(np.arange(n), gauge)
         col[radius, 2] = 1 + 2 * len(tangent) + np.arange(len(radius))
+        col.setflags(write=False)
         self.col = col
         self.n_free = 3 * n - 6
+
+
+@lru_cache(maxsize=64)
+def _layout(n: int, gauge: tuple[int, int, int]) -> _Layout:
+    """The gauge chart of `gauge`, built once and shared read-only."""
+    return _Layout(n, gauge)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,19 +258,7 @@ def initial_configuration(tri: Triangulation, gauge_face=None) -> Configuration:
             return corner[gs]
         return centroid
 
-    free = [v for v in range(n) if v not in gauge]
-    idx = {v: i for i, v in enumerate(free)}
-    mat = np.zeros((len(free), len(free)))
-    rhs = np.zeros((len(free), 2))
-    for v in free:
-        nbrs = tri.neighbors[v]
-        mat[idx[v], idx[v]] = float(len(nbrs))
-        for u in nbrs:
-            if u in gauge:
-                rhs[idx[v]] += anchor_for(v)
-            else:
-                mat[idx[v], idx[u]] -= 1.0
-    plane = np.linalg.solve(mat, rhs)
+    free, plane = _harmonic(tri, gauge, lambda v, u: anchor_for(v))
 
     # barycentric transfer onto the far octant of the orthogonal gauge
     q_ab = np.array([0.0, -1.0, 0.0])
@@ -258,8 +269,7 @@ def initial_configuration(tri: Triangulation, gauge_face=None) -> Configuration:
     centers[a] = np.array([0.0, 0.0, -1.0])
     centers[b] = np.array([1.0, 0.0, 0.0])
     centers[c] = np.array([0.0, 1.0, 0.0])
-    for v in free:
-        w = plane[idx[v]]
+    for v, w in zip(free, plane):
         lam_ab = _tri_area2(w, m_bc, m_ca) / area
         lam_bc = _tri_area2(m_ab, w, m_ca) / area
         lam_ca = _tri_area2(m_ab, m_bc, w) / area
@@ -279,18 +289,71 @@ def _tri_area2(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
+def _harmonic(tri: Triangulation, fixed, anchor) -> tuple[list[int], np.ndarray]:
+    """Plane layout of the vertices outside `fixed`, in vertex order: each
+    sits at the mean of its neighbors, a fixed neighbor u of v standing
+    at anchor(v, u).  Returns (free vertices, (len(free), 2) positions)."""
+    free = [v for v in range(tri.n_vertices) if v not in fixed]
+    idx = {v: i for i, v in enumerate(free)}
+    mat = np.zeros((len(free), len(free)))
+    rhs = np.zeros((len(free), 2))
+    for v in free:
+        nbrs = tri.neighbors[v]
+        mat[idx[v], idx[v]] = float(len(nbrs))
+        for u in nbrs:
+            if u in fixed:
+                rhs[idx[v]] += anchor(v, u)
+            else:
+                mat[idx[v], idx[u]] -= 1.0
+    return free, np.linalg.solve(mat, rhs)
+
+
+def _tutte_start(tri: Triangulation, gauge: tuple[int, int, int]
+                 ) -> Configuration:
+    """Cold start of the direct leg, in no gauge.
+
+    Tutte's barycentric embedding with `gauge` as the outer triangle
+    draws every face as a convex triangle.  Inverse stereographic
+    projection lifts it to the sphere, and Lorentz boosts that move the
+    centroid of the centers to the ball center spread the vertices out
+    (Moebius centering).  Each radius is TUTTE_RADIUS times the longest
+    edge at its vertex.  `gauge` is recorded but not imposed.
+    """
+    n = tri.n_vertices
+    # clockwise in the plane, so that the lifted faces turn like the
+    # face gauge's (positive face_excesses)
+    corners = {v: np.array([math.cos(t), math.sin(t)])
+               for v, t in zip(gauge, (0.0, -2.0 * _PI / 3.0, 2.0 * _PI / 3.0))}
+    free, plane = _harmonic(tri, gauge, lambda v, u: corners[u])
+    xy = np.empty((n, 2))
+    xy[free] = plane
+    xy[list(gauge)] = [corners[v] for v in gauge]
+    q = _rowdot(xy, xy)
+    P = np.column_stack([2.0 * xy, q - 1.0]) / (q + 1.0)[:, None]
+    for _ in range(CENTERING_STEPS):
+        m = P.mean(axis=0)
+        m2 = float(m @ m)
+        if m2 < CENTERING_TOL ** 2:
+            break
+        boost = boost_to_center(np.append(m, 1.0) / math.sqrt(1.0 - m2))
+        w = np.column_stack([P, np.ones(n)]) @ boost.T
+        P = w[:, :3] / np.sqrt(_rowdot(w[:, :3], w[:, :3]))[:, None]
+
+    u, v = tri.edge_array.T
+    length = np.arccos(np.clip(_rowdot(P[u], P[v]), -1.0, 1.0))
+    longest = np.zeros(n)
+    np.maximum.at(longest, u, length)
+    np.maximum.at(longest, v, length)
+    return Configuration(tri, P, TUTTE_RADIUS * longest, gauge)
+
+
 # ---------------------------------------------------------------------------
 # residual and Jacobian
 # ---------------------------------------------------------------------------
 
-def _edge_arrays(tri: Triangulation) -> tuple[np.ndarray, np.ndarray]:
-    e = np.asarray(tri.edges, dtype=int)
-    return e[:, 0], e[:, 1]
-
-
 def _inversive_all(cfg: Configuration) -> np.ndarray:
     """Inversive distance per edge, in the order of tri.edges."""
-    u, v = _edge_arrays(cfg.tri)
+    u, v = cfg.tri.edge_array.T
     cr = np.cos(cfg.radii)
     sr = np.sin(cfg.radii)
     dots = np.einsum("ij,ij->i", cfg.centers[u], cfg.centers[v])
@@ -328,35 +391,45 @@ def _residual_or_none(cfg: Configuration, target: np.ndarray) -> np.ndarray | No
     return np.arccos(inv) - target
 
 
-def jacobian(cfg: Configuration) -> np.ndarray:
-    """Analytic derivative of the edge angles in the free coordinates.
+def _edge_blocks(cfg: Configuration, frames: np.ndarray):
+    """Derivatives of the edge angles at each edge end, in its tangent
+    pair along `frames` and its radius: yields (end vertices, (E, 3)
+    block) for the u ends and then the v ends of tri.edges.
 
-    Rows follow tri.edges; columns follow the gauge layout (meridian angle
-    of b, tangent pairs, radii).  The angle on edge (u, v) is
-    arccos(I(u, v)), so each entry carries the factor -1/sqrt(1 - I^2).
+    The angle on edge (u, v) is arccos(I(u, v)), so each entry carries
+    the factor -1/sqrt(1 - I^2).
     """
-    lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
     P, R = cfg.centers, cfg.radii
     cr, sr = np.cos(R), np.sin(R)
     inv = _inversive_all(cfg)
     scale = 1.0 / np.sqrt(np.maximum(1.0 - inv * inv, 1e-30))
-    frames = _tangent_frames(P)
-    frames[lay.b, 0] = (-P[lay.b, 2], 0.0, P[lay.b, 0])   # meridian tangent
-
-    u, v = _edge_arrays(cfg.tri)
+    u, v = cfg.tri.edge_array.T
     denom = sr[u] * sr[v]
     cos_d = _rowdot(P[u], P[v])
-    J = np.zeros((len(u), lay.n_free))
     for end, other in ((u, v), (v, u)):
         # position: dTheta/dt = (t . p_other) / (denom sqrt); radius:
         # dTheta/dr_end = (cos r_other - C cos r_end) / (sin^2 r_end sin r_other sqrt)
         # (float_power rounds sin^2 like libm pow; x * x sometimes differs)
         q = P[other]
-        d = np.column_stack([
+        yield end, np.column_stack([
             scale * _rowdot(frames[end, 0], q) / denom,
             scale * _rowdot(frames[end, 1], q) / denom,
             scale * (cr[other] - cos_d * cr[end])
             / (np.float_power(sr[end], 2) * sr[other])])
+
+
+def jacobian(cfg: Configuration) -> np.ndarray:
+    """Analytic derivative of the edge angles in the free coordinates.
+
+    Rows follow tri.edges; columns follow the gauge layout (meridian angle
+    of b, tangent pairs, radii).
+    """
+    lay = _layout(cfg.tri.n_vertices, cfg.gauge_face)
+    P = cfg.centers
+    frames = _tangent_frames(P)
+    frames[lay.b, 0] = (-P[lay.b, 2], 0.0, P[lay.b, 0])   # meridian tangent
+    J = np.zeros((cfg.tri.n_edges, lay.n_free))
+    for end, d in _edge_blocks(cfg, frames):
         cols = lay.col[end]
         row, k = np.nonzero(cols >= 0)
         J[row, cols[row, k]] = d[row, k]
@@ -369,7 +442,7 @@ def apply_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
     The updated radii are clamped just inside the feasibility box, letting
     a descent step slide along the wall instead of being rejected outright.
     """
-    lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
+    lay = _layout(cfg.tri.n_vertices, cfg.gauge_face)
     if delta.shape != (lay.n_free,):
         raise ValueError(f"step has shape {delta.shape}, expected ({lay.n_free},)")
     centers = cfg.centers.copy()
@@ -389,6 +462,40 @@ def apply_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
     radii[sized] = np.clip(radii[sized] + delta[lay.col[sized, 2]],
                            RADIUS_FLOOR + 1e-6, RADIUS_CEILING - 1e-6)
     return cfg.with_data(centers, radii)
+
+
+# ---------------------------------------------------------------------------
+# the chart of the direct leg: no gauge, log-radius coordinates
+# ---------------------------------------------------------------------------
+
+def _free_jacobian(cfg: Configuration) -> np.ndarray:
+    """Edge-angle derivatives in the direct leg's chart: columns 3w, 3w + 1
+    for the tangent pair of vertex w and 3w + 2 for x = log tan(r_w / 2).
+    Since dr/dx = sin r, the x column is the radius column times sin r."""
+    sr = np.sin(cfg.radii)
+    rows = np.arange(cfg.tri.n_edges)[:, None]
+    J = np.zeros((cfg.tri.n_edges, 3 * cfg.tri.n_vertices))
+    for end, d in _edge_blocks(cfg, _tangent_frames(cfg.centers)):
+        d[:, 2] *= sr[end]
+        J[rows, 3 * end[:, None] + np.arange(3)] = d
+    return J
+
+
+def _free_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
+    """Move every center along its tangent frame and every x = log tan(r/2)."""
+    d = delta.reshape(-1, 3)
+    P = cfg.centers
+    frames = _tangent_frames(P)
+    p = P + d[:, :1] * frames[:, 0] + d[:, 1:2] * frames[:, 1]
+    x = np.log(np.tan(0.5 * cfg.radii)) + d[:, 2]
+    with np.errstate(over="ignore"):     # r = pi, which _free_feasible rejects
+        radii = 2.0 * np.arctan(np.exp(x))
+    return cfg.with_data(p / np.sqrt(_rowdot(p, p))[:, None], radii)
+
+
+def _free_feasible(cfg: Configuration) -> bool:
+    """Every radius inside (0, pi), where x is finite."""
+    return bool(np.all((cfg.radii > 0.0) & (cfg.radii < _PI)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +562,14 @@ def _gate_state(cfg: Configuration) -> np.ndarray:
     tri = cfg.tri
     pu, pv = tri.nonadjacent_pairs
     return np.concatenate([
-        face_excesses(cfg.centers, tri.faces) <= 1e-12,
+        face_excesses(cfg.centers, tri.face_array) <= 1e-12,
         inversive_matrix(cfg.centers, cfg.radii)[pu, pv] <= 1.0])
 
 
-def _hard_feasible(cfg: Configuration, lay: _Layout) -> bool:
+def _hard_feasible(cfg: Configuration) -> bool:
+    """The face-gauge box: b strictly inside its meridian, c at y > 0 and
+    the non-gauge radii inside (RADIUS_FLOOR, RADIUS_CEILING)."""
+    lay = _layout(cfg.tri.n_vertices, cfg.gauge_face)
     phi = _meridian_angle(cfg.centers[lay.b])
     if not 1e-9 < phi < _PI - 1e-9:
         return False
@@ -507,15 +617,16 @@ def _repair_overlaps(cfg: Configuration) -> tuple[Configuration, int]:
     return cfg.with_data(cfg.centers, radii), repairs
 
 
-def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float
+def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
+               jac, step, feasible
                ) -> tuple[Configuration, bool, int, float, float]:
-    """Solve one homotopy target.  Returns (cfg, converged, iterations,
-    damping, last_step_norm).
+    """Solve one target in the chart given by its Jacobian `jac(cfg)`, its
+    step `step(cfg, delta)` and its hard-feasibility test `feasible(cfg)`.
+    Returns (cfg, converged, iterations, damping, last_step_norm).
 
-    A trial is accepted when it stays inside the hard box, adds no soft
-    violation to those of the current iterate and lowers the cost.
+    A trial is accepted when it is hard-feasible, adds no soft violation
+    to those of the current iterate and lowers the cost.
     """
-    lay = _Layout(cfg.tri.n_vertices, cfg.gauge_face)
     lam = INITIAL_DAMPING
     r = _residual_or_none(cfg, target)
     if r is None:
@@ -526,7 +637,7 @@ def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float
     for it in range(1, MAX_ITERATIONS + 1):
         if float(np.max(np.abs(r))) < tolerance:
             return cfg, True, it - 1, lam, step_norm
-        J = jacobian(cfg)
+        J = jac(cfg)
         g = J.T @ r
         JtJ = J.T @ J
         diag = np.diag(JtJ).copy()
@@ -538,8 +649,8 @@ def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float
             except np.linalg.LinAlgError:
                 lam *= DAMPING_GROW
                 continue
-            trial = apply_step(cfg, delta)
-            if _hard_feasible(trial, lay):
+            trial = step(cfg, delta)
+            if feasible(trial):
                 trial_state = _gate_state(trial)
                 r_trial = (None if (trial_state & ~state).any()
                            else _residual_or_none(trial, target))
@@ -573,6 +684,33 @@ def _anchor_schedule() -> list[float]:
     return out[:ANCHOR_ATTEMPTS]
 
 
+def _direct_leg(tri: Triangulation, prescribed: np.ndarray,
+                gauge: tuple[int, int, int], tolerance: float
+                ) -> tuple[Configuration | None, int, HomotopyRecord | None]:
+    """Solve for the prescribed angles at once in the gauge-free chart,
+    from the centered Tutte start, then move the answer into `gauge` and
+    polish it in the face-gauge chart.
+
+    Returns (pattern, LM iterations of both stages, its record at s = 1),
+    or (None, iterations, None) when the leg misses.  A pattern with a
+    flipped face or overlapping non-adjacent caps has the right angles
+    but is not the embedded one, so it counts as a miss too.
+    """
+    out, ok, iters, lam, step_norm = _levenberg(
+        _tutte_start(tri, gauge), prescribed, tolerance,
+        _free_jacobian, _free_step, _free_feasible)
+    if not ok:
+        return None, iters, None
+    out, ok, polish, _, _ = _levenberg(
+        regauge(out, gauge), prescribed, tolerance,
+        jacobian, apply_step, _hard_feasible)
+    iters += polish
+    if not ok or not radii_bounds(tri, out).ok or _gate_state(out).any():
+        return None, iters, None
+    rinf = _residual_inf(out, prescribed)
+    return out, iters, _record(out, 1.0, iters, lam, step_norm, rinf)
+
+
 def _solve_in_gauge(tri: Triangulation, prescribed: np.ndarray, gauge,
                     opts: SolveOptions
                     ) -> tuple[Configuration, bool, int, list[HomotopyRecord], int]:
@@ -589,7 +727,8 @@ def _solve_in_gauge(tri: Triangulation, prescribed: np.ndarray, gauge,
 
     def try_target(c0: Configuration, s: float):
         tgt = s * prescribed + (1.0 - s) * (_PI / 3.0)
-        out, ok, iters, lam, step_norm = _levenberg(c0, tgt, opts.tolerance)
+        out, ok, iters, lam, step_norm = _levenberg(
+            c0, tgt, opts.tolerance, jacobian, apply_step, _hard_feasible)
         if ok:
             ok = radii_bounds(tri, out).ok
         return out, ok, iters, lam, step_norm, _residual_inf(out, tgt)
@@ -639,9 +778,12 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
     Numerical failure is reported through SolveReport.converged = False
     with a failure reason, never by an exception.
 
-    If the requested gauge resists direct solution, the pattern is solved
-    in another gauge and carried over by a sphere inversion, which leaves
-    all overlap angles unchanged.
+    The direct leg runs first (see the module docstring).  When it
+    misses, the anchor schedule and homotopy run in the requested gauge;
+    if that gauge resists, the pattern is solved in another gauge and
+    carried over by a sphere inversion, which leaves all overlap angles
+    unchanged.  A failure in which no Levenberg-Marquardt iteration ran
+    at all reads `cold_start_infeasible`, any other `homotopy_stalled`.
     """
     opts = options or SolveOptions()
     report = check_admissible(tri, theta)
@@ -653,8 +795,14 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
     if s0 is not None and not 0.0 <= s0 <= 1.0:
         raise ValueError(f"interpolation parameter {s0} outside [0, 1]")
     target = np.array([theta[e] for e in tri.edges])
-    total_iters = 0
-    cfg = best = None
+    best, total_iters, record = _direct_leg(tri, target, requested,
+                                            opts.tolerance)
+    if best is not None:
+        return best, SolveReport(
+            converged=True, residual_inf=record.residual_inf,
+            iterations=total_iters, targets=(record,), repairs=0)
+
+    cfg = None
     records: list[HomotopyRecord] = []
     repairs = 0
 
@@ -672,12 +820,14 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
         return cfg, SolveReport(
             converged=False, residual_inf=_residual_inf(cfg, target),
             iterations=total_iters, targets=tuple(records), repairs=repairs,
-            failure_reason="homotopy_stalled")
+            failure_reason=("homotopy_stalled" if total_iters
+                            else "cold_start_infeasible"))
 
     if best.gauge_face != requested:
         best = regauge(best, requested)
         # polish away the float noise of the transfer
-        best, _, it2, _, _ = _levenberg(best, target, opts.tolerance)
+        best, _, it2, _, _ = _levenberg(best, target, opts.tolerance,
+                                        jacobian, apply_step, _hard_feasible)
         total_iters += it2
 
     res_inf = _residual_inf(best, target)

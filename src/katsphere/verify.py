@@ -81,7 +81,7 @@ def check_contact_graph(tri: Triangulation, cfg,
     single point.
     """
     inv = inversive_matrix(cfg.centers, cfg.radii)
-    eu, ev = np.asarray(tri.edges).T
+    eu, ev = tri.edge_array.T
     pu, pv = tri.nonadjacent_pairs
     e_inv, p_inv = inv[eu, ev], inv[pu, pv]
     lost = _violations(("lost_overlap", "engulfing"),
@@ -292,7 +292,7 @@ def check_center_triangulation(tri: Triangulation, cfg,
     stored rotation system and the signed areas have to add up to the
     full sphere area 4*pi.
     """
-    ex = face_excesses(cfg.centers, tri.faces)
+    ex = face_excesses(cfg.centers, tri.face_array)
     total = float(np.cumsum(ex)[-1])     # summed in face order
     flipped = tuple(compress(tri.faces, ex < 0.0))
     degenerate = tuple(compress(tri.faces, ex == 0.0))
@@ -377,7 +377,7 @@ def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
     angles, and the irreducibility flag presumes all of the above.
     """
     contact = check_contact_graph(tri, cfg)
-    eu, ev = np.asarray(tri.edges).T
+    eu, ev = tri.edge_array.T
     e_inv = inversive_matrix(cfg.centers, cfg.radii)[eu, ev]
     err = 0.0
     for e, inv in zip(tri.edges, e_inv.tolist()):

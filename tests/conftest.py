@@ -89,32 +89,46 @@ def _icosahedron_positions(tri):
     return pts
 
 
+def geodesic(level):
+    """The icosahedron midpoint-subdivided `level` times, with its unit
+    vertex positions: (triangulation, (n, 3) array)."""
+    ico = icosahedron()
+    pts = list(_icosahedron_positions(ico))
+    faces = list(ico.faces)
+    for _ in range(level):
+        mid = {}
+
+        def midpoint(u, v):
+            e = norm_edge(u, v)
+            if e not in mid:
+                p = pts[u] + pts[v]
+                pts.append(p / np.linalg.norm(p))
+                mid[e] = len(pts) - 1
+            return mid[e]
+
+        finer = []
+        for (a, b, c) in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            finer += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = finer
+    return build_triangulation(faces), np.array(pts)
+
+
 @pytest.fixture(scope="session")
 def realized_geodesic42():
     """The once-subdivided icosahedron with a cap of 0.6 times the longest
     incident edge on every vertex, gauged on its first face, and the
     angles it realizes."""
-    ico = icosahedron()
-    pts = list(_icosahedron_positions(ico))
-    mid = {}
-
-    def midpoint(u, v):
-        e = norm_edge(u, v)
-        if e not in mid:
-            p = pts[u] + pts[v]
-            pts.append(p / np.linalg.norm(p))
-            mid[e] = len(pts) - 1
-        return mid[e]
-
-    faces = []
-    for (a, b, c) in ico.faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-    tri = build_triangulation(faces)
-    pos = np.array(pts)
+    tri, pos = geodesic(1)
     radii = np.array([
         0.6 * float(np.max(np.arccos(np.clip(
             pos[list(tri.neighbors[v])] @ pos[v], -1.0, 1.0))))
         for v in range(tri.n_vertices)])
     cfg = regauge(Configuration(tri, pos, radii, tri.faces[0]), tri.faces[0])
     return tri, cfg, AngleAssignment(pattern_angles(cfg))
+
+
+@pytest.fixture(scope="session")
+def geodesic162():
+    """The twice-subdivided icosahedron, 162 vertices."""
+    return geodesic(2)[0]

@@ -221,6 +221,15 @@ class TestBuildValidation:
         for fi in range(len(oct_tri.faces)):
             assert seen.count(fi) == 3
 
+    def test_cached_index_arrays(self, ico_tri, stacked2):
+        for tri in (ico_tri, stacked2):
+            assert tri.edge_array.tolist() == [list(e) for e in tri.edges]
+            assert tri.face_array.tolist() == [list(f) for f in tri.faces]
+            assert tri.edge_array is tri.edge_array
+            for arr in (tri.edge_array, tri.face_array):
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0
+
     def test_double_tetrahedron_flag(self, bp3, oct_tri, stacked2):
         assert bp3.is_double_tetrahedron
         assert stacked_tetrahedra(1).is_double_tetrahedron
