@@ -85,7 +85,7 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     _, tri = jsonio.load_complex(args.complex)
     theta = jsonio.load_angles(args.angles, degrees=args.degrees)
-    opts = SolveOptions(tolerance=args.tol, first_anchor=args.s0)
+    opts = SolveOptions(tolerance=args.tol)
     t0 = time.perf_counter()
     try:
         cfg, rep = solve(tri, theta, options=opts)
@@ -108,8 +108,7 @@ def cmd_solve(args) -> int:
         _write_manifest(
             args.manifest,
             inputs={"complex": args.complex, "angles": args.angles},
-            options={"tol": args.tol, "s0": args.s0,
-                     "degrees": args.degrees},
+            options={"tol": args.tol, "degrees": args.degrees},
             artifacts=[args.out],
             timings={"solve": solve_time,
                      "verify": time.perf_counter() - t1})
@@ -263,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("angles")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="residual infinity-norm tolerance")
-    p.add_argument("--s0", type=float, default=None,
-                   help="first homotopy anchor to try in (0, 1]")
     p.add_argument("--out", default="pattern.json")
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--manifest", default=None,

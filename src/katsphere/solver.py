@@ -25,19 +25,26 @@ frame's first vector is the meridian tangent; the tangent pairs of the
 other vertices follow in vertex order, then the non-gauge radii.  The
 Jacobian and the step are array passes over this map.
 
-`solve` first tries a direct leg in a chart without a gauge.  Every
-vertex has three free coordinates there: its tangent pair and
-x = log tan(r/2), which covers all radii in (0, pi).  Nothing is pinned;
-the Levenberg-Marquardt damping absorbs the six-dimensional Moebius null
-space.  The leg starts from a Tutte embedding with the gauge face as the
-outer triangle, lifted to the sphere and centered by Moebius boosts, and
-aims straight at the prescribed angles.  Its answer is moved into the
-face gauge by `regauge` and polished there.
+`solve` itself runs in a chart without a gauge.  Every vertex has three
+free coordinates there: its tangent pair and x = log tan(r/2), which
+covers all radii in (0, pi).  Nothing is pinned; the Levenberg-Marquardt
+damping absorbs the six-dimensional Moebius null space, so each cold start
+aims straight at the prescribed angles.  The starts are tried in order,
+each built only when the one before it missed:
 
-When the direct leg misses, the target angles are reached in the face
-gauge by a homotopy that pulls the prescribed assignment toward the
-uniform pi/3 assignment and walks back out, warm starting each leg from
-the previous solution.
+1. a Tutte embedding with the requested gauge face as the outer
+   triangle, lifted to the sphere and centered by Moebius boosts;
+2. the octant start of `initial_configuration` with its overlaps
+   repaired, in the requested face and then in up to
+   `SolveOptions.fallback_gauges` other faces.
+
+The octant start stays because the Tutte start does not reach every
+input: on the uniform bipyramid(9) it stalls with overlapping
+non-adjacent caps, while the octant start converges.  Every start ends
+in one finish: its answer is moved into the requested face gauge by
+`regauge`, polished there with `jacobian` and `apply_step`, and accepted
+only with radii in bounds and no flipped face or overlapping non-adjacent
+pair.  The first answer to pass wins.
 """
 
 from __future__ import annotations
@@ -73,20 +80,15 @@ RADIUS_FLOOR = 1e-6
 RADIUS_CEILING = _PI - 0.01
 _GAUGE_RADIUS = _PI / 2
 
-# Levenberg-Marquardt damping and homotopy walk
-MAX_ITERATIONS = 250       # per homotopy target
+# Levenberg-Marquardt damping
+MAX_ITERATIONS = 250       # per Levenberg-Marquardt run
 INITIAL_DAMPING = 1e-3
 DAMPING_GROW = 10.0
 DAMPING_SHRINK = 3.0
 DAMPING_MAX = 1e10
-ANCHOR_ATTEMPTS = 10       # cold starts tried per gauge
-HOMOTOPY_STEP = 0.25
-STEP_GROW = 1.5
-STEP_SHRINK = 0.5
-MIN_STEP = 1e-4
 REPAIR_ATTEMPTS = 80
 
-# cold start of the direct leg
+# the Tutte cold start
 TUTTE_RADIUS = 0.55        # start radius per longest incident edge
 CENTERING_STEPS = 100      # Moebius boosts tried to center the start
 CENTERING_TOL = 1e-6       # centroid distance from the origin that suffices
@@ -114,7 +116,7 @@ class Configuration:
 
 @dataclass(frozen=True)
 class HomotopyRecord:
-    """Diagnostics for one accepted homotopy target."""
+    """Diagnostics for an accepted solve; `s` is 1.0, the prescribed angles."""
 
     s: float
     iterations: int
@@ -139,8 +141,7 @@ class SolveReport:
 @dataclass(frozen=True)
 class SolveOptions:
     tolerance: float = 1e-10
-    fallback_gauges: int = 6           # other faces tried when the gauge resists
-    first_anchor: float | None = None  # interpolation parameter tried first
+    fallback_gauges: int = 6     # other faces given an octant start
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def _harmonic(tri: Triangulation, fixed, anchor) -> tuple[list[int], np.ndarray]
 
 def _tutte_start(tri: Triangulation, gauge: tuple[int, int, int]
                  ) -> Configuration:
-    """Cold start of the direct leg, in no gauge.
+    """The first cold start of `solve`, in no gauge.
 
     Tutte's barycentric embedding with `gauge` as the outer triangle
     draws every face as a convex triangle.  Inverse stereographic
@@ -465,11 +466,11 @@ def apply_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
 
 
 # ---------------------------------------------------------------------------
-# the chart of the direct leg: no gauge, log-radius coordinates
+# the chart of the cold starts: no gauge, log-radius coordinates
 # ---------------------------------------------------------------------------
 
 def _free_jacobian(cfg: Configuration) -> np.ndarray:
-    """Edge-angle derivatives in the direct leg's chart: columns 3w, 3w + 1
+    """Edge-angle derivatives in the gauge-free chart: columns 3w, 3w + 1
     for the tangent pair of vertex w and 3w + 2 for x = log tan(r_w / 2).
     Since dr/dx = sin r, the x column is the radius column times sin r."""
     sr = np.sin(cfg.radii)
@@ -672,100 +673,15 @@ def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
 # public solve
 # ---------------------------------------------------------------------------
 
-def _anchor_schedule() -> list[float]:
-    """Cold-start interpolation parameters: s = 1 first, then a dyadic
-    grid refined from the middle, preferring values closer to 1."""
-    out = [1.0]
-    level = 2
-    while len(out) < ANCHOR_ATTEMPTS:
-        vals = sorted((k / level for k in range(1, level, 2)), reverse=True)
-        out.extend(vals)
-        level *= 2
-    return out[:ANCHOR_ATTEMPTS]
-
-
-def _direct_leg(tri: Triangulation, prescribed: np.ndarray,
-                gauge: tuple[int, int, int], tolerance: float
-                ) -> tuple[Configuration | None, int, HomotopyRecord | None]:
-    """Solve for the prescribed angles at once in the gauge-free chart,
-    from the centered Tutte start, then move the answer into `gauge` and
-    polish it in the face-gauge chart.
-
-    Returns (pattern, LM iterations of both stages, its record at s = 1),
-    or (None, iterations, None) when the leg misses.  A pattern with a
-    flipped face or overlapping non-adjacent caps has the right angles
-    but is not the embedded one, so it counts as a miss too.
-    """
-    out, ok, iters, lam, step_norm = _levenberg(
-        _tutte_start(tri, gauge), prescribed, tolerance,
-        _free_jacobian, _free_step, _free_feasible)
-    if not ok:
-        return None, iters, None
-    out, ok, polish, _, _ = _levenberg(
-        regauge(out, gauge), prescribed, tolerance,
-        jacobian, apply_step, _hard_feasible)
-    iters += polish
-    if not ok or not radii_bounds(tri, out).ok or _gate_state(out).any():
-        return None, iters, None
-    rinf = _residual_inf(out, prescribed)
-    return out, iters, _record(out, 1.0, iters, lam, step_norm, rinf)
-
-
-def _solve_in_gauge(tri: Triangulation, prescribed: np.ndarray, gauge,
-                    opts: SolveOptions
-                    ) -> tuple[Configuration, bool, int, list[HomotopyRecord], int]:
-    """Run the cold-start schedule and homotopy walk in one fixed gauge.
-
-    `prescribed` holds the target angles in tri.edges order; the target
-    at parameter s pulls them toward the uniform pi/3 assignment, rounding
-    exactly like angles.interpolate.
-    """
-    cfg = initial_configuration(tri, gauge)
-    cfg, repairs = _repair_overlaps(cfg)
-    records: list[HomotopyRecord] = []
-    total_iters = 0
-
-    def try_target(c0: Configuration, s: float):
-        tgt = s * prescribed + (1.0 - s) * (_PI / 3.0)
-        out, ok, iters, lam, step_norm = _levenberg(
-            c0, tgt, opts.tolerance, jacobian, apply_step, _hard_feasible)
-        if ok:
-            ok = radii_bounds(tri, out).ok
-        return out, ok, iters, lam, step_norm, _residual_inf(out, tgt)
-
-    # cold starts: the prescribed angles directly, then interpolated
-    # targets on a refining grid until one leg converges
-    schedule = _anchor_schedule()
-    if opts.first_anchor is not None:
-        schedule = [opts.first_anchor] + [s_val for s_val in schedule
-                                          if s_val != opts.first_anchor]
-    s = None
-    for s_try in schedule:
-        out, ok, iters, lam, step_norm, rinf = try_target(cfg, s_try)
-        total_iters += iters
-        if ok:
-            cfg, s = out, s_try
-            records.append(_record(cfg, s, iters, lam, step_norm, rinf))
-            break
-    if s is None:
-        return cfg, False, total_iters, records, repairs
-
-    # walk s to 1 with an adaptive step, warm starting each leg
-    step = HOMOTOPY_STEP
-    while s < 1.0:
-        s_next = min(1.0, s + step)
-        out, ok, iters, lam, step_norm, rinf = try_target(cfg, s_next)
-        total_iters += iters
-        if ok:
-            cfg, s = out, s_next
-            records.append(_record(cfg, s, iters, lam, step_norm, rinf))
-            step = min(step * STEP_GROW, 0.5)
-        else:
-            step *= STEP_SHRINK
-            if step < MIN_STEP:
-                return cfg, False, total_iters, records, repairs
-    done = _residual_inf(cfg, prescribed) < opts.tolerance
-    return cfg, done, total_iters, records, repairs
+def _cold_starts(tri: Triangulation, gauge: tuple[int, int, int],
+                 fallback_gauges: int):
+    """Yield (start, repairs) in the order `solve` tries them: the Tutte
+    start, then the repaired octant start in `gauge` and in the first
+    `fallback_gauges` other faces.  Each is built only when asked for."""
+    yield _tutte_start(tri, gauge), 0
+    faces = [gauge] + [f for f in tri.faces if f != gauge]
+    for face in faces[:1 + fallback_gauges]:
+        yield _repair_overlaps(initial_configuration(tri, face))
 
 
 def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
@@ -773,17 +689,19 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
           ) -> tuple[Configuration, SolveReport]:
     """Compute the gauged circle pattern for an admissible assignment.
 
-    Raises ConditionsViolated when the admissibility check fails, NotAFace
-    for a bad gauge face and ValueError for a first anchor outside [0, 1].
-    Numerical failure is reported through SolveReport.converged = False
-    with a failure reason, never by an exception.
+    Raises ConditionsViolated when the admissibility check fails and
+    NotAFace for a bad gauge face.  Numerical failure is reported through
+    SolveReport.converged = False with a failure reason, never by an
+    exception.
 
-    The direct leg runs first (see the module docstring).  When it
-    misses, the anchor schedule and homotopy run in the requested gauge;
-    if that gauge resists, the pattern is solved in another gauge and
-    carried over by a sphere inversion, which leaves all overlap angles
-    unchanged.  A failure in which no Levenberg-Marquardt iteration ran
-    at all reads `cold_start_infeasible`, any other `homotopy_stalled`.
+    The cold starts and their shared finish are described in the module
+    docstring.  The finish turns down a pattern with a flipped face or
+    overlapping non-adjacent caps: it has the right angles but is not the
+    embedded one.  A solved report holds one record at s = 1 with the
+    winning start's iterations and repairs; `iterations` sums all starts.
+    A failure reads `cold_start_infeasible` when no Levenberg-Marquardt
+    iteration ran in any start and `no_start_converged` otherwise, and
+    reports the repairs of the octant start in the requested face.
     """
     opts = options or SolveOptions()
     report = check_admissible(tri, theta)
@@ -791,51 +709,33 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
         raise ConditionsViolated(report)
 
     requested = _require_oriented_face(tri, gauge_face or tri.faces[0])
-    s0 = opts.first_anchor
-    if s0 is not None and not 0.0 <= s0 <= 1.0:
-        raise ValueError(f"interpolation parameter {s0} outside [0, 1]")
     target = np.array([theta[e] for e in tri.edges])
-    best, total_iters, record = _direct_leg(tri, target, requested,
-                                            opts.tolerance)
-    if best is not None:
-        return best, SolveReport(
-            converged=True, residual_inf=record.residual_inf,
-            iterations=total_iters, targets=(record,), repairs=0)
-
-    cfg = None
-    records: list[HomotopyRecord] = []
-    repairs = 0
-
-    faces = [requested] + [f for f in tri.faces if f != requested]
-    for gauge in faces[:1 + opts.fallback_gauges]:
-        cfg, done, iters, recs, reps = _solve_in_gauge(tri, target, gauge, opts)
+    total_iters = 0
+    repairs_seen = []
+    for start, repairs in _cold_starts(tri, requested, opts.fallback_gauges):
+        repairs_seen.append(repairs)
+        cfg, ok, iters, lam, step_norm = _levenberg(
+            start, target, opts.tolerance,
+            _free_jacobian, _free_step, _free_feasible)
         total_iters += iters
-        if not records:
-            records, repairs = recs, reps
-        if done:
-            best, records, repairs = cfg, recs, reps
-            break
+        if not ok:
+            continue
+        out, ok, polish, _, _ = _levenberg(
+            regauge(cfg, requested), target, opts.tolerance,
+            jacobian, apply_step, _hard_feasible)
+        total_iters += polish
+        if ok and radii_bounds(tri, out).ok and not _gate_state(out).any():
+            rinf = _residual_inf(out, target)
+            record = _record(out, iters + polish, lam, step_norm, rinf)
+            return out, SolveReport(
+                converged=True, residual_inf=rinf, iterations=total_iters,
+                targets=(record,), repairs=repairs)
 
-    if best is None:
-        return cfg, SolveReport(
-            converged=False, residual_inf=_residual_inf(cfg, target),
-            iterations=total_iters, targets=tuple(records), repairs=repairs,
-            failure_reason=("homotopy_stalled" if total_iters
-                            else "cold_start_infeasible"))
-
-    if best.gauge_face != requested:
-        best = regauge(best, requested)
-        # polish away the float noise of the transfer
-        best, _, it2, _, _ = _levenberg(best, target, opts.tolerance,
-                                        jacobian, apply_step, _hard_feasible)
-        total_iters += it2
-
-    res_inf = _residual_inf(best, target)
-    good = res_inf < opts.tolerance
-    return best, SolveReport(
-        converged=good, residual_inf=res_inf, iterations=total_iters,
-        targets=tuple(records), repairs=repairs,
-        failure_reason=None if good else "tolerance_missed")
+    return cfg, SolveReport(
+        converged=False, residual_inf=_residual_inf(cfg, target),
+        iterations=total_iters, targets=(), repairs=repairs_seen[1],
+        failure_reason=("no_start_converged" if total_iters
+                        else "cold_start_infeasible"))
 
 
 def _residual_inf(cfg: Configuration, target: np.ndarray) -> float:
@@ -845,11 +745,11 @@ def _residual_inf(cfg: Configuration, target: np.ndarray) -> float:
     return float(np.max(np.abs(r)))
 
 
-def _record(cfg: Configuration, s: float, iters: int, lam: float,
-            step_norm: float, residual_inf: float) -> HomotopyRecord:
+def _record(cfg: Configuration, iters: int, lam: float, step_norm: float,
+            residual_inf: float) -> HomotopyRecord:
     stats = radii_bounds(cfg.tri, cfg)
     return HomotopyRecord(
-        s=s, iterations=iters,
+        s=1.0, iterations=iters,
         residual_inf=residual_inf,
         damping=lam, step_norm=step_norm,
         min_radius=stats.min_radius,

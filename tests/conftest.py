@@ -1,12 +1,12 @@
-"""Shared fixtures: catalog complexes, solved and realized patterns, a
-seeded RNG."""
+"""Shared fixtures: catalog complexes, solved, realized and obtuse
+patterns, a seeded RNG."""
 
 import math
 
 import numpy as np
 import pytest
 
-from katsphere.angles import AngleAssignment
+from katsphere.angles import AngleAssignment, check_admissible
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
 from katsphere.complexes import build_triangulation, norm_edge
 from katsphere.solver import Configuration, pattern_angles, regauge, solve
@@ -132,3 +132,33 @@ def realized_geodesic42():
 def geodesic162():
     """The twice-subdivided icosahedron, 162 vertices."""
     return geodesic(2)[0]
+
+
+def greedy_obtuse(tri, seed):
+    """Obtuse angles from the conditions, not from geometry: every edge
+    starts at 0.4 pi, and in a seeded order each is raised to 0.55 pi,
+    the raise kept only while the assignment stays admissible."""
+    th = {e: 0.4 * math.pi for e in tri.edges}
+    rng = np.random.default_rng(seed)
+    for i in rng.permutation(tri.n_edges):
+        e = tri.edges[i]
+        th[e] = 0.55 * math.pi
+        if not check_admissible(tri, AngleAssignment(th)).ok:
+            th[e] = 0.4 * math.pi
+    return AngleAssignment(th)
+
+
+@pytest.fixture(scope="session")
+def obtuse_bipyramid8():
+    """bipyramid(8) with greedy obtuse angles at seed 0 (a third of the
+    edges obtuse): (triangulation, angles)."""
+    tri = bipyramid(8)
+    return tri, greedy_obtuse(tri, 0)
+
+
+@pytest.fixture(scope="session")
+def obtuse_geodesic42():
+    """The 42-vertex geodesic sphere with greedy obtuse angles at seed 0
+    (29 % of the edges obtuse): (triangulation, angles)."""
+    tri = geodesic(1)[0]
+    return tri, greedy_obtuse(tri, 0)

@@ -129,13 +129,6 @@ class TestSolve:
         assert not out_path.exists()
         assert "result: FAIL" in capsys.readouterr().err
 
-    def test_first_anchor_option(self, cli_ws, tmp_path, capsys):
-        out_path = tmp_path / "s0.json"
-        code = cli.main(["solve", str(cli_ws["complex"]),
-                         str(cli_ws["angles"]), "--s0", "0.5",
-                         "--out", str(out_path)])
-        assert code == cli.EXIT_OK
-
     def test_manifest_lists_artifacts(self, cli_ws, tmp_path, capsys):
         out_path = tmp_path / "p.json"
         manifest_path = tmp_path / "manifest.json"
@@ -148,6 +141,7 @@ class TestSolve:
                                  "timings_sec"}
         assert manifest["artifacts"] == [str(out_path)]
         assert manifest["inputs"]["complex"] == str(cli_ws["complex"])
+        assert set(manifest["options"]) == {"tol", "degrees"}
         assert set(manifest["timings_sec"]) == {"solve", "verify"}
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from katsphere import solver
 from katsphere.angles import AngleAssignment, check_admissible
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
 from katsphere.errors import ConditionsViolated, EdgeNotOverlapping, NotAFace
@@ -26,7 +27,6 @@ from katsphere.solver import (
     _free_jacobian,
     _free_step,
     _gate_state,
-    _solve_in_gauge,
     _tutte_start,
     apply_step,
     gauge_normalize,
@@ -583,12 +583,6 @@ class TestSolve:
             assert rec.max_nongauge_radius < math.pi / 2
             assert rec.residual_inf < 1e-10
 
-    def test_first_anchor_outside_unit_interval_raises(self, oct_tri):
-        theta = AngleAssignment.constant(oct_tri, OCT_ANGLE)
-        for s0 in (-0.25, 1.5, math.nan):
-            with pytest.raises(ValueError):
-                solve(oct_tri, theta, options=SolveOptions(first_anchor=s0))
-
     def test_report_separation_margin(self, oct_tri):
         theta = AngleAssignment.constant(oct_tri, OCT_ANGLE)
         _, rep = solve(oct_tri, theta)
@@ -599,53 +593,67 @@ class TestSolve:
 UNIFORM = 2.0 * math.pi / 5.0
 
 
-@pytest.mark.parametrize("tri,theta,want", [
-    (octahedron(), UNIFORM, (True, 5, 0, (1.0,), None)),
-    (bipyramid(3), None, (True, 7, 0, (1.0,), None)),
-    (icosahedron(), 0.45 * math.pi, (True, 5, 0, (1.0,), None)),
-    (bipyramid(6), UNIFORM, (True, 7, 0, (1.0,), None)),
-    (bipyramid(7), UNIFORM, (True, 10, 0, (1.0,), None)),
-    (bipyramid(8), UNIFORM, (True, 10, 0, (1.0,), None)),
-    (bipyramid(9), UNIFORM, (True, 97, 2, (0.5, 0.75, 1.0), None)),
-    (bipyramid(10), UNIFORM, (False, 0, 80, (), "cold_start_infeasible")),
-], ids=["octahedron", "bipyramid3", "icosahedron", "bipyramid6",
-        "bipyramid7", "bipyramid8", "bipyramid9", "bipyramid10"])
-def test_frozen_trajectory(tri, theta, want):
-    """Frozen counters of the default solve: converged, LM iterations,
-    repairs, the parameters s of the accepted homotopy targets and the
-    failure reason.  The direct leg answers all but bipyramid(9), which
-    it misses after 38 iterations, so the anchor schedule and homotopy
-    run there (59 more), and bipyramid(10), where no leg starts."""
-    theta = (bp3_assignment(tri) if theta is None
-             else AngleAssignment.constant(tri, theta))
-    _, rep = solve(tri, theta)
-    assert (rep.converged, rep.iterations, rep.repairs,
-            tuple(t.s for t in rep.targets), rep.failure_reason) == want
-
-
 def _constant(tri, angle):
     return tri, AngleAssignment.constant(tri, angle)
 
 
-# inputs the direct leg solves, built from the realized geodesic-42 fixture
-# (triangulation, pattern, angles) where they need it
-DIRECT_CASES = {
-    "octahedron": lambda g42: _constant(octahedron(), UNIFORM),
-    "bipyramid3": lambda g42: (bipyramid(3), bp3_assignment(bipyramid(3))),
-    "icosahedron": lambda g42: _constant(icosahedron(), 0.45 * math.pi),
-    "bipyramid6": lambda g42: _constant(bipyramid(6), UNIFORM),
-    "bipyramid7": lambda g42: _constant(bipyramid(7), UNIFORM),
-    "bipyramid8": lambda g42: _constant(bipyramid(8), UNIFORM),
-    "geodesic42": lambda g42: _constant(g42[0], UNIFORM),
-    "geodesic42-realized": lambda g42: (g42[0], g42[2]),
-    **{f"sweep{t}": (lambda g42, t=t: _constant(
+# solve inputs as (triangulation, angles), built from the session
+# fixtures where they need them; `fx` looks a fixture up by name
+CASES = {
+    "octahedron": lambda fx: _constant(octahedron(), UNIFORM),
+    "bipyramid3": lambda fx: (bipyramid(3), bp3_assignment(bipyramid(3))),
+    "icosahedron": lambda fx: _constant(icosahedron(), 0.45 * math.pi),
+    **{f"bipyramid{m}": (lambda fx, m=m: _constant(bipyramid(m), UNIFORM))
+       for m in (6, 7, 8, 9, 10)},
+    "geodesic42": lambda fx: _constant(fx("realized_geodesic42")[0], UNIFORM),
+    "geodesic42-realized": lambda fx: (fx("realized_geodesic42")[0],
+                                       fx("realized_geodesic42")[2]),
+    "bipyramid8-obtuse": lambda fx: fx("obtuse_bipyramid8"),
+    "geodesic42-obtuse": lambda fx: fx("obtuse_geodesic42"),
+    **{f"sweep{t}": (lambda fx, t=t: _constant(
         octahedron(), 0.4 * math.pi + t * 0.1 * math.pi))
        for t in (0.0, 0.5, 0.9, 0.99)},
 }
 
+FROZEN = {
+    "octahedron": (True, 5, 0, (1.0,), None),
+    "bipyramid3": (True, 7, 0, (1.0,), None),
+    "icosahedron": (True, 5, 0, (1.0,), None),
+    "bipyramid6": (True, 7, 0, (1.0,), None),
+    "bipyramid7": (True, 10, 0, (1.0,), None),
+    "bipyramid8": (True, 10, 0, (1.0,), None),
+    "bipyramid9": (True, 52, 2, (1.0,), None),
+    "bipyramid10": (False, 0, 80, (), "cold_start_infeasible"),
+    "bipyramid8-obtuse": (True, 93, 2, (1.0,), None),
+    "geodesic42-obtuse": (True, 7, 0, (1.0,), None),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN))
+def test_frozen_trajectory(name, request):
+    """Frozen counters of the default solve: converged, LM iterations,
+    repairs, the parameters s of the report's records and the failure
+    reason.  The Tutte start answers all but bipyramid(9), where it
+    stalls after 38 iterations and the octant start converges in 14
+    more, the obtuse bipyramid(8), where the octant start in the second
+    face answers, and bipyramid(10), where no start runs an iteration."""
+    tri, theta = CASES[name](request.getfixturevalue)
+    _, rep = solve(tri, theta)
+    assert (rep.converged, rep.iterations, rep.repairs,
+            tuple(t.s for t in rep.targets), rep.failure_reason) == FROZEN[name]
+
+
+def test_failure_names_the_stage(oct_tri, monkeypatch):
+    """Iterations ran but no start reached the target."""
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+    _, rep = solve(oct_tri, AngleAssignment.constant(oct_tri, UNIFORM))
+    assert not rep.converged
+    assert rep.iterations > 0
+    assert rep.failure_reason == "no_start_converged"
+
 
 class TestDirectLeg:
-    """The gauge-free chart, its cold start, and its answers."""
+    """The gauge-free chart, its cold starts, and their answers."""
 
     @pytest.mark.parametrize("maker", [octahedron, icosahedron,
                                        lambda: bipyramid(9)])
@@ -684,20 +692,22 @@ class TestDirectLeg:
                 break
         assert checked == 20
 
-    @pytest.mark.parametrize("name", list(DIRECT_CASES))
-    def test_matches_face_gauge_path(self, name, realized_geodesic42):
-        """Rigidity: the pattern is unique up to Moebius maps, so the
-        direct leg and the face-gauge homotopy give one answer."""
-        tri, theta = DIRECT_CASES[name](realized_geodesic42)
+    @pytest.mark.parametrize("name", [name for name in CASES
+                                      if name != "bipyramid10"])
+    def test_matches_face_gauge_path(self, name, request):
+        """Rigidity: the pattern is unique up to Moebius maps, so a solve
+        in the last face's gauge, regauged onto the first face, gives the
+        default solve's answer."""
+        tri, theta = CASES[name](request.getfixturevalue)
         cfg, rep = solve(tri, theta)
         assert rep.converged
-        assert [t.s for t in rep.targets] == [1.0] and rep.repairs == 0
-        target = np.array([theta[e] for e in tri.edges])
-        oracle, done, *_ = _solve_in_gauge(tri, target, tri.faces[0],
-                                           SolveOptions())
-        assert done
-        assert np.max(np.abs(cfg.centers - oracle.centers)) <= 1e-9
-        assert np.max(np.abs(cfg.radii - oracle.radii)) <= 1e-9
+        assert [t.s for t in rep.targets] == [1.0]
+        assert verify_pattern(tri, cfg, theta).ok
+        other, other_rep = solve(tri, theta, gauge_face=tri.faces[-1])
+        assert other_rep.converged
+        moved = regauge(other, tri.faces[0])
+        assert np.max(np.abs(cfg.centers - moved.centers)) <= 1e-9
+        assert np.max(np.abs(cfg.radii - moved.radii)) <= 1e-9
 
     def test_geodesic162_solves_and_verifies(self, geodesic162):
         theta = AngleAssignment.constant(geodesic162, UNIFORM)
@@ -705,6 +715,9 @@ class TestDirectLeg:
                          options=SolveOptions(fallback_gauges=0))
         assert rep.converged
         assert [t.s for t in rep.targets] == [1.0] and rep.repairs == 0
+        # the Tutte start won, so its record counts every iteration, the
+        # face-gauge polish's included
+        assert rep.targets[0].iterations == rep.iterations == 9
         assert verify_pattern(geodesic162, cfg, theta).ok
 
 
