@@ -92,6 +92,18 @@ class Triangulation:
         return _frozen_index_array(self.faces, 3)
 
     @cached_property
+    def face_edge_array(self) -> np.ndarray:
+        """Read-only (F, 3) indices into tri.edges of the sides (j, k),
+        (k, i) and (i, j) of each face (i, j, k), in tri.faces order."""
+        n = self.n_vertices
+        e, f = self.edge_array, self.face_array
+        a, b = f[:, [1, 2, 0]], f[:, [2, 0, 1]]
+        out = np.searchsorted(e[:, 0] * n + e[:, 1],
+                              np.minimum(a, b) * n + np.maximum(a, b))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def nonadjacent_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (us, vs) of the vertex pairs u < v that share no
         edge, in lexicographic order."""

@@ -25,11 +25,19 @@ import numpy as np
 from .angles import AngleAssignment
 from .complexes import Triangulation
 from .errors import ConvexityViolation, NotPositiveDefinite, PreconditionViolated
-from .sphere import cap_plane_normal, common_orthogonal_point, minkowski_dot
+from .sphere import (
+    MINKOWSKI_METRIC,
+    _clamped_acos,
+    _elementwise,
+    _unit_caps,
+    common_orthogonal_point,
+    minkowski_dot,
+)
 from .verify import check_contact_graph, check_separating_triples
 
 CONVEXITY_TOL = 1e-9    # slack allowed on half-space membership
 INCIDENCE_TOL = 1e-9    # drift of a vertex off its defining planes
+SLACK_BLOCK_FLOATS = 1 << 18   # face x cap slacks held at once, about
 
 
 def face_gram(theta_i: float, theta_j: float, theta_k: float) -> np.ndarray:
@@ -55,12 +63,17 @@ def face_gram_det(theta_i: float, theta_j: float, theta_k: float) -> float:
                    * math.cos(s - theta_i) * math.cos(s - theta_j))
 
 
-def _positive_definite(g: np.ndarray) -> bool:
-    if g[0, 0] <= 0.0:
-        return False
-    if g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0] <= 0.0:
-        return False
-    return float(np.linalg.det(g)) > 0.0
+def _positive_definite(g: np.ndarray) -> np.ndarray:
+    """Sylvester's criterion on a stack of 3 x 3 matrices."""
+    return ((g[..., 0, 0] > 0.0)
+            & (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0] > 0.0)
+            & (np.linalg.det(g) > 0.0))
+
+
+def _minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """minkowski_dot along the last axis, rounded like the scalar call."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
 def face_vertex(n_i: np.ndarray, n_j: np.ndarray,
@@ -133,44 +146,84 @@ def build_polyhedron(tri: Triangulation, cfg,
         bad = next(r for r in triples.results if not r.empty)
         raise PreconditionViolated(
             f"caps of separating triple {bad.cycle} share a point")
-    for (i, j, k) in tri.faces:
-        det = face_gram_det(theta[(j, k)], theta[(k, i)], theta[(i, j)])
-        if det <= 0.0:
-            raise NotPositiveDefinite(
-                f"target angles on face {(i, j, k)} are not realizable "
-                f"(Gram determinant {det:.3e})")
+    target = np.array([theta[e] for e in tri.edges])
+    det = _face_gram_dets(target[tri.face_edge_array])
+    bad = np.flatnonzero(det <= 0.0)
+    if bad.size:
+        raise NotPositiveDefinite(
+            f"target angles on face {tri.faces[bad[0]]} are not realizable "
+            f"(Gram determinant {float(det[bad[0]]):.3e})")
 
-    normals = np.vstack([cap_plane_normal(cfg.cap(v))
-                         for v in range(tri.n_vertices)])
-    verts = np.empty((tri.n_faces, 4))
-    for fi, (i, j, k) in enumerate(tri.faces):
-        try:
-            verts[fi] = face_vertex(normals[i], normals[j], normals[k])
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                f"planes of face {(i, j, k)} do not meet: {exc}") from exc
+    normals = _plane_normals(cfg)
+    verts = _face_vertices(tri, normals)
 
-    # slack[f, w] = minkowski_dot(vertex of face f, normal of cap w)
-    slack = (verts[:, :3] @ normals[:, :3].T
-             - np.outer(verts[:, 3], normals[:, 3]))
-    slack[np.arange(tri.n_faces)[:, None], tri.faces] = -np.inf
-    outside = np.flatnonzero(slack > CONVEXITY_TOL)
-    if outside.size:
-        fi, w = divmod(int(outside[0]), tri.n_vertices)
-        raise ConvexityViolation(
-            f"vertex of face {tri.faces[fi]} lies outside the half-space "
-            f"of cap {w} by {slack[fi, w]:.3e}")
+    # slack[f, w] = minkowski_dot(vertex of face f, normal of cap w), in
+    # blocks of faces; a block has two rows at least, because a one-row
+    # product takes another BLAS path that rounds differently
+    rows = max(2, SLACK_BLOCK_FLOATS // tri.n_vertices)
+    for block in np.array_split(np.arange(tri.n_faces),
+                                max(1, tri.n_faces // rows)):
+        slack = (verts[block, :3] @ normals[:, :3].T
+                 - np.outer(verts[block, 3], normals[:, 3]))
+        slack[np.arange(len(block))[:, None], tri.face_array[block]] = -np.inf
+        outside = np.flatnonzero(slack > CONVEXITY_TOL)
+        if outside.size:
+            fi, w = divmod(int(outside[0]), tri.n_vertices)
+            raise ConvexityViolation(
+                f"vertex of face {tri.faces[block[fi]]} lies outside the "
+                f"half-space of cap {w} by {slack[fi, w]:.3e}")
 
-    dihedrals = {}
-    err = 0.0
-    for (u, w) in tri.edges:
-        c = -minkowski_dot(normals[u], normals[w])
-        dihedrals[(u, w)] = math.acos(min(1.0, max(-1.0, c)))
-        err = max(err, abs(dihedrals[(u, w)] - theta[(u, w)]))
+    eu, ev = tri.edge_array.T
+    dihedral = _elementwise(
+        _clamped_acos, -_minkowski_rows(normals[eu], normals[ev]))
     return HyperbolicPolyhedron(
         face_normals=normals, vertices=verts,
-        face_cycles=tri.vertex_face_cycles, dihedral_angles=dihedrals,
-        angle_error_inf=err)
+        face_cycles=tri.vertex_face_cycles,
+        dihedral_angles=dict(zip(tri.edges, dihedral.tolist())),
+        angle_error_inf=float(np.max(np.abs(dihedral - target))))
+
+
+def _face_gram_dets(th: np.ndarray) -> np.ndarray:
+    """face_gram_det of every row (theta_i, theta_j, theta_k) of th."""
+    ti, tj, tk = th.T
+    s = 0.5 * (ti + tj + tk)
+    cs, ck, ci, cj = (_elementwise(math.cos, x)
+                      for x in (s, s - tk, s - ti, s - tj))
+    return -4.0 * (cs * ck * ci * cj)
+
+
+def _plane_normals(cfg) -> np.ndarray:
+    """cap_plane_normal of every cap, one row per vertex."""
+    unit, valid = _unit_caps(cfg.centers, cfg.radii)
+    if not valid.all():
+        cfg.cap(int(np.argmin(valid)))    # raises the first cap's DegenerateCap
+    sin = _elementwise(math.sin, cfg.radii)
+    return np.column_stack([unit / sin[:, None],
+                            _elementwise(math.cos, cfg.radii) / sin])
+
+
+def _face_vertices(tri: Triangulation, normals: np.ndarray) -> np.ndarray:
+    """face_vertex of every face's three plane normals, one row per face.
+
+    The first face, in face order, whose planes do not meet raises what
+    face_vertex raises for it: NotPositiveDefinite for a failed Gram test,
+    common_orthogonal_point's PreconditionViolated after a passed one.
+    """
+    rows = normals[tri.face_array]
+    ok = _positive_definite(_minkowski_rows(rows[:, :, None], rows[:, None]))
+    meet = len(ok) if ok.all() else int(np.argmin(ok))
+    _, sv, vt = np.linalg.svd(rows[:meet] @ MINKOWSKI_METRIC)
+    q = vt[:, -1]
+    q2 = _minkowski_rows(q, q)
+    if np.any((sv[:, -1] < 1e-8 * sv[:, 0]) | (q2 >= -1e-12)):
+        raise PreconditionViolated(
+            "planes do not meet in a single hyperbolic point")
+    if meet < len(ok):
+        raise NotPositiveDefinite(
+            f"planes of face {tri.faces[meet]} do not meet: plane normals "
+            "have a non-positive-definite Gram matrix")
+    q = q / np.sqrt(-q2)[:, None]
+    return np.where(q[:, 3:] > 0.0, q, -q)
 
 
 def export_off(poly: HyperbolicPolyhedron, path) -> None:

@@ -65,6 +65,7 @@ from .errors import (
 )
 from .sphere import (
     Cap,
+    _rowdot,
     boost_to_center,
     cap_plane_normal,
     common_orthogonal_point,
@@ -183,11 +184,6 @@ class _Layout:
 def _layout(n: int, gauge: tuple[int, int, int]) -> _Layout:
     """The gauge chart of `gauge`, built once and shared read-only."""
     return _Layout(n, gauge)
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows, each rounded like np.dot."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _tangent_frames(P: np.ndarray) -> np.ndarray:

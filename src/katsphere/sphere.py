@@ -44,6 +44,32 @@ def _as_unit(p) -> np.ndarray:
     return v
 
 
+def _unit_caps(centers: np.ndarray, radii: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `centers` normalized as _as_unit does it, and a mask of
+    the rows Cap accepts: center norm within _UNIT_EPS of 1, radius in
+    (0, pi)."""
+    norm = np.sqrt(_rowdot(centers, centers))
+    valid = ~(np.abs(norm - 1.0) > _UNIT_EPS) & (0.0 < radii) & (radii < _PI)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return centers / norm[:, None], valid
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each rounded like np.dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _elementwise(fn, a: np.ndarray) -> np.ndarray:
+    """fn on every element of a 1-D array through Python floats, so each
+    result rounds like the scalar math call."""
+    return np.array([fn(x) for x in a.tolist()], dtype=float)
+
+
+def _clamped_acos(x: float) -> float:
+    return math.acos(min(1.0, max(-1.0, x)))
+
+
 @dataclass(frozen=True, eq=False)
 class Cap:
     """Closed spherical cap: all points within `radius` of `center`."""
@@ -186,6 +212,50 @@ def circle_intersection_points(a: Cap, b: Cap,
     return (base + gamma * axis, base - gamma * axis)
 
 
+def circle_intersections(centers: np.ndarray, radii: np.ndarray,
+                         us: np.ndarray, vs: np.ndarray,
+                         tangent_eps: float = TANGENT_EPS
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """circle_intersection_points of the cap pairs (us[i], vs[i]), all at once.
+
+    Returns points (m, 2, 3), the + and the - crossing of each pair, and a
+    mask found (m, 2) of the points the scalar function returns for
+    Cap(centers[u], radii[u]) and Cap(centers[v], radii[v]): the first
+    point alone on a tangent pair, none where a Cap would be rejected, the
+    boundaries coincide or the scalar function returns nothing.  Each step
+    rounds like the scalar one, so the found points equal its points bit
+    for bit.
+    """
+    unit, valid = _unit_caps(centers, radii)
+    cos_r = _elementwise(math.cos, np.where(valid, radii, 0.0))
+    ca, cb, ra, rb = unit[us], unit[vs], radii[us], radii[vs]
+    t = _rowdot(ca, cb)
+    coincident = (((t > 1.0 - 1e-14) & (np.abs(ra - rb) <= 1e-12))
+                  | ((t < -1.0 + 1e-14) & (np.abs(ra + rb - _PI) <= 1e-12)))
+    d = _elementwise(_clamped_acos, t)
+    tangent = ((np.abs(d - (ra + rb)) <= tangent_eps)
+               | (np.abs(d - np.abs(ra - rb)) <= tangent_eps)
+               | (np.abs(d - (2.0 * _PI - ra - rb)) <= tangent_eps))
+    den = 1.0 - t * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (cos_r[us] - t * cos_r[vs]) / den
+        beta = (cos_r[vs] - t * cos_r[us]) / den
+        base = alpha[:, None] * ca + beta[:, None] * cb
+        base_norm = np.sqrt(_rowdot(base, base))
+        s = 1.0 - alpha * alpha - beta * beta - 2.0 * alpha * beta * t
+        axis = np.cross(ca, cb)
+        axis_norm = np.sqrt(_rowdot(axis, axis))
+        gamma = (np.sqrt(s) / axis_norm)[:, None]
+        plus = np.where(tangent[:, None], base / base_norm[:, None],
+                        base + gamma * axis)
+        points = np.stack([plus, base - gamma * axis], axis=1)
+    # the scalar function divides by axis_norm in Python, where 0 raises
+    crossing = np.where(tangent, ~(base_norm < 1e-14),
+                        ~(s <= 0.0) & (axis_norm != 0.0))
+    ok = valid[us] & valid[vs] & ~coincident & ~(den < 1e-28) & crossing
+    return points, np.column_stack([ok, ok & ~tangent])
+
+
 def triple_intersection_empty(a: Cap, b: Cap, c: Cap
                               ) -> tuple[bool, np.ndarray | None]:
     """Decide whether three closed caps have empty common intersection.
@@ -308,10 +378,6 @@ class ThreeCircleLayout:
     @property
     def p_k(self) -> np.ndarray:
         return self.centers[2]
-
-
-def _clamped_acos(x: float) -> float:
-    return math.acos(min(1.0, max(-1.0, x)))
 
 
 def layout_triple(radii, angles) -> ThreeCircleLayout:

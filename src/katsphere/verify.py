@@ -26,7 +26,8 @@ import numpy as np
 from .angles import AngleAssignment
 from .complexes import Triangulation, separating_cycles
 from .sphere import (
-    circle_intersection_points,
+    _rowdot,
+    circle_intersections,
     face_excesses,
     fibonacci_sphere,
     inversive_matrix,
@@ -36,10 +37,12 @@ from .sphere import (
 _PI = math.pi
 
 TANGENCY_EPS = 1e-9         # |I - 1| below this counts as tangency
+NEAR_TANGENT_EPS = 1e-6     # tangency_diagnostics: pair and angle slack
 GAUGE_POSITION_EPS = 1e-9   # allowed drift of the gauge caps
 ANGLE_TOL = 1e-8            # overlap angle match for target assignments
 EXCESS_TOL = 1e-6           # allowed defect of the total signed area
 PROBE_BLOCK_FLOATS = 1 << 20  # probe x cap products held at once
+PROBE_NUDGES = (1e-7, 1e-4, 3e-2)  # corner probe steps off both caps
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +83,12 @@ def check_contact_graph(tri: Triangulation, cfg,
     flagged as `tangency`, the boundary case where two disks touch in a
     single point.
     """
-    inv = inversive_matrix(cfg.centers, cfg.radii)
+    return _contact_report(tri, inversive_matrix(cfg.centers, cfg.radii),
+                           tangency_eps)
+
+
+def _contact_report(tri: Triangulation, inv: np.ndarray,
+                    tangency_eps: float) -> ContactReport:
     eu, ev = tri.edge_array.T
     pu, pv = tri.nonadjacent_pairs
     e_inv, p_inv = inv[eu, ev], inv[pu, pv]
@@ -96,10 +104,14 @@ def check_contact_graph(tri: Triangulation, cfg,
 
 def separation_margin(tri: Triangulation, cfg) -> float:
     """Min over non-adjacent pairs of (inversive distance - 1)."""
+    return _separation_margin(tri, inversive_matrix(cfg.centers, cfg.radii))
+
+
+def _separation_margin(tri: Triangulation, inv: np.ndarray) -> float:
     pu, pv = tri.nonadjacent_pairs
     if not pu.size:
         return float("inf")
-    return float(np.min(inversive_matrix(cfg.centers, cfg.radii)[pu, pv])) - 1.0
+    return float(np.min(inv[pu, pv])) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +128,34 @@ class IrreducibilityReport:
 
 def _witness_candidates(tri: Triangulation, cfg, samples: int) -> np.ndarray:
     """Deterministic probe points: cap centers, corner points nudged
-    outward, face circumpoints, and a Fibonacci lattice."""
-    pts = [cfg.centers]
-    for (u, v) in tri.edges:
-        try:
-            corners = circle_intersection_points(cfg.cap(u), cfg.cap(v))
-        except Exception:
-            continue
-        for x in corners:
-            away = 2.0 * x - cfg.centers[u] - cfg.centers[v]
-            away = away - float(away @ x) * x
-            n = float(np.linalg.norm(away))
-            if n < 1e-12:
-                continue
-            away /= n
-            for eps in (1e-7, 1e-4, 3e-2):
-                y = x + eps * away
-                pts.append((y / np.linalg.norm(y))[None, :])
-    for (i, j, k) in tri.faces:
-        n = np.cross(cfg.centers[j] - cfg.centers[i],
-                     cfg.centers[k] - cfg.centers[i])
-        norm = float(np.linalg.norm(n))
-        if norm > 1e-12:
-            pts.append((n / norm)[None, :])
-            pts.append((-n / norm)[None, :])
-    pts.append(fibonacci_sphere(samples))
-    return np.vstack(pts)
+    outward, face circumpoints, and a Fibonacci lattice.
+
+    Edges come in edge order, each with the corners that
+    circle_intersection_points finds, + before -, and every corner pushed
+    away from both caps by each of PROBE_NUDGES; faces come in face order,
+    each with the unit normal of its center triangle and then its negative.
+    """
+    eu, ev = tri.edge_array.T
+    corners, found = circle_intersections(cfg.centers, cfg.radii, eu, ev)
+    edge = np.nonzero(found)[0]
+    x = corners[found]
+    away = 2.0 * x - cfg.centers[eu[edge]] - cfg.centers[ev[edge]]
+    away = away - _rowdot(away, x)[:, None] * x
+    norm = np.sqrt(_rowdot(away, away))
+    keep = ~(norm < 1e-12)
+    x, away = x[keep], away[keep] / norm[keep, None]
+    steps = np.array(PROBE_NUDGES)[:, None]
+    nudged = (x[:, None, :] + steps * away[:, None, :]).reshape(-1, 3)
+    nudged = nudged / np.sqrt(_rowdot(nudged, nudged))[:, None]
+
+    p_i, p_j, p_k = cfg.centers[tri.face_array].transpose(1, 0, 2)
+    n = np.cross(p_j - p_i, p_k - p_i)
+    norm = np.sqrt(_rowdot(n, n))
+    keep = norm > 1e-12
+    n = n[keep] / norm[keep, None]
+    return np.vstack([cfg.centers, nudged,
+                      np.stack([n, -n], axis=1).reshape(-1, 3),
+                      fibonacci_sphere(samples)])
 
 
 def check_irreducible(tri: Triangulation, cfg,
@@ -219,8 +233,8 @@ class TangencyDiagnostic:
 
 
 def tangency_diagnostics(tri: Triangulation, cfg,
-                         tangency_eps: float = 1e-6,
-                         angle_eps: float = 1e-6
+                         tangency_eps: float = NEAR_TANGENT_EPS,
+                         angle_eps: float = NEAR_TANGENT_EPS
                          ) -> tuple[TangencyDiagnostic, ...]:
     """Inspect near-tangent non-adjacent pairs.
 
@@ -229,7 +243,14 @@ def tangency_diagnostics(tri: Triangulation, cfg,
     diagnostic with consistent=False signals a geometry violation near
     the degenerate boundary.
     """
-    inv = inversive_matrix(cfg.centers, cfg.radii)
+    return _tangency_diagnostics(
+        tri, cfg, inversive_matrix(cfg.centers, cfg.radii), tangency_eps,
+        angle_eps)
+
+
+def _tangency_diagnostics(tri: Triangulation, cfg, inv: np.ndarray,
+                          tangency_eps: float, angle_eps: float
+                          ) -> tuple[TangencyDiagnostic, ...]:
     pu, pv = tri.nonadjacent_pairs
     out: list[TangencyDiagnostic] = []
     for i in np.flatnonzero(np.abs(inv[pu, pv] - 1.0) <= tangency_eps):
@@ -322,12 +343,10 @@ class RingRatioReport:
 
 def ring_ratios(tri: Triangulation, cfg) -> RingRatioReport:
     """Largest radius ratio across an edge; bounded on compact families."""
-    table = {}
-    for (u, v) in tri.edges:
-        hi = max(cfg.radii[u], cfg.radii[v])
-        lo = min(cfg.radii[u], cfg.radii[v])
-        table[(u, v)] = float(hi / lo)
-    return RingRatioReport(max(table.values()), table)
+    ru, rv = cfg.radii[tri.edge_array.T]
+    ratio = np.maximum(ru, rv) / np.minimum(ru, rv)
+    return RingRatioReport(float(np.max(ratio)),
+                           dict(zip(tri.edges, ratio.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +395,22 @@ def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
     presumes a correct contact graph, gauge position presumes matching
     angles, and the irreducibility flag presumes all of the above.
     """
-    contact = check_contact_graph(tri, cfg)
+    # the probe blocks are freed before the one inversive matrix is built,
+    # so the two never share the heap
+    irr = check_irreducible(tri, cfg, samples)
+    inv = inversive_matrix(cfg.centers, cfg.radii)
+    contact = _contact_report(tri, inv, TANGENCY_EPS)
     eu, ev = tri.edge_array.T
-    e_inv = inversive_matrix(cfg.centers, cfg.radii)[eu, ev]
+    e_inv = inv[eu, ev]
     err = 0.0
-    for e, inv in zip(tri.edges, e_inv.tolist()):
-        if abs(inv) < 1.0:
-            err = max(err, abs(math.acos(inv) - theta[e]))
+    for e, e_i in zip(tri.edges, e_inv.tolist()):
+        if abs(e_i) < 1.0:
+            err = max(err, abs(math.acos(e_i) - theta[e]))
         else:
             err = float("inf")
     in_contact = contact.ok
     in_target = in_contact and err <= angle_tol
     in_gauge = in_target and _gauge_in_position(cfg)
-    irr = check_irreducible(tri, cfg, samples)
     in_irr = in_gauge and irr.ok
     return VerificationReport(
         in_contact=in_contact,
@@ -396,11 +418,12 @@ def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
         in_gauge=in_gauge,
         in_irreducible=in_irr,
         angle_error_inf=err,
-        separation_margin=separation_margin(tri, cfg),
+        separation_margin=_separation_margin(tri, inv),
         contact=contact,
         irreducibility=irr,
         triples=check_separating_triples(tri, cfg),
-        tangencies=tangency_diagnostics(tri, cfg),
+        tangencies=_tangency_diagnostics(tri, cfg, inv, NEAR_TANGENT_EPS,
+                                         NEAR_TANGENT_EPS),
         layout=check_center_triangulation(tri, cfg),
         radii=radii_bounds(tri, cfg),
         rings=ring_ratios(tri, cfg),

@@ -226,7 +226,11 @@ class TestBuildValidation:
             assert tri.edge_array.tolist() == [list(e) for e in tri.edges]
             assert tri.face_array.tolist() == [list(f) for f in tri.faces]
             assert tri.edge_array is tri.edge_array
-            for arr in (tri.edge_array, tri.face_array):
+            sides = [[tri.edges[e] for e in row]
+                     for row in tri.face_edge_array.tolist()]
+            assert sides == [[norm_edge(j, k), norm_edge(k, i),
+                              norm_edge(i, j)] for (i, j, k) in tri.faces]
+            for arr in (tri.edge_array, tri.face_array, tri.face_edge_array):
                 with pytest.raises(ValueError):
                     arr[0, 0] = 0
 

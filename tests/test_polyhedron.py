@@ -10,6 +10,10 @@ Frozen expectations:
   norms sit at sqrt(3) times that, well inside the unit ball,
 * octahedron pattern builds a combinatorial cube (8 vertices, 6 faces,
   12 edges); a triangular bipyramid builds a prism (6, 5, 9).
+
+The array passes over faces and edges in build_polyhedron are compared
+bit for bit with the per-face face_vertex loop and the per-edge
+minkowski_dot loop they replaced, failures included.
 """
 
 import itertools
@@ -21,8 +25,10 @@ import pytest
 
 import katsphere.polyhedron
 from katsphere.angles import AngleAssignment
+from katsphere.catalog import bipyramid, icosahedron
 from katsphere.errors import (
     ConvexityViolation,
+    DegenerateCap,
     NotPositiveDefinite,
     PreconditionViolated,
 )
@@ -230,6 +236,35 @@ class TestBuildPolyhedron:
         with pytest.raises(NotPositiveDefinite):
             build_polyhedron(oct_tri, cfg, thin)
 
+    @pytest.mark.parametrize("block_rows", [2, 3, 7])
+    def test_slack_blocks_do_not_change_the_outcome(self, realized_geodesic42,
+                                                    monkeypatch, rng,
+                                                    block_rows):
+        tri, cfg, _ = realized_geodesic42
+        centers = cfg.centers + 1e-3 * rng.normal(size=cfg.centers.shape)
+        centers /= np.linalg.norm(centers, axis=1)[:, None]
+        cfg = cfg.with_data(centers, cfg.radii)
+        theta = AngleAssignment(pattern_angles(cfg))
+        want = build_polyhedron(tri, cfg, theta)
+        # the slacks in one product, with a tolerance that only faces of
+        # the second half exceed, so the violation lies past the first block
+        v, n = want.vertices, want.face_normals
+        slack = v[:, :3] @ n[:, :3].T - np.outer(v[:, 3], n[:, 3])
+        slack[np.arange(tri.n_faces)[:, None], tri.faces] = -np.inf
+        tol = float(np.max(slack[:tri.n_faces // 2]))
+        fi, w = divmod(int(np.flatnonzero(slack > tol)[0]), tri.n_vertices)
+        assert fi >= tri.n_faces // 2
+        monkeypatch.setattr(katsphere.polyhedron, "SLACK_BLOCK_FLOATS",
+                            block_rows * tri.n_vertices)
+        got = build_polyhedron(tri, cfg, theta)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        monkeypatch.setattr(katsphere.polyhedron, "CONVEXITY_TOL", tol)
+        with pytest.raises(ConvexityViolation) as exc:
+            build_polyhedron(tri, cfg, theta)
+        assert str(exc.value) == (
+            f"vertex of face {tri.faces[fi]} lies outside the half-space "
+            f"of cap {w} by {slack[fi, w]:.3e}")
+
     def test_convexity_check_matches_scalar_oracle(self, realized_geodesic42,
                                                    monkeypatch, rng):
         # the realized pattern, jiggled so that equal slacks do not hide
@@ -310,3 +345,144 @@ class TestCombinatorialDuality:
                 edge_pairs.add(frozenset((a, b)))
         # 12 geometric edges, each shared by two face cycles
         assert len(edge_pairs) == 12
+
+
+# ---------------------------------------------------------------------------
+# slow oracles for the array passes over faces and edges
+# ---------------------------------------------------------------------------
+
+def oracle_normals(tri, cfg):
+    return np.vstack([cap_plane_normal(cfg.cap(v))
+                      for v in range(tri.n_vertices)])
+
+
+def oracle_face_vertices(tri, normals):
+    """The per-face face_vertex loop that build_polyhedron replaced."""
+    verts = np.empty((tri.n_faces, 4))
+    for fi, (i, j, k) in enumerate(tri.faces):
+        try:
+            verts[fi] = face_vertex(normals[i], normals[j], normals[k])
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(
+                f"planes of face {(i, j, k)} do not meet: {exc}") from exc
+    return verts
+
+
+def outcome(fn, *args):
+    """The bytes fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def near_ideal_normals():
+    """Three orthonormal plane normals whose common point q lies a
+    Minkowski norm of about 1e-13 off the light cone: the Gram test passes
+    and common_orthogonal_point refuses."""
+    eta = 1e-13
+    tilt = np.array([1.0 + eta, 0.0, 0.0, 1.0])
+    return (np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]),
+            tilt / math.sqrt(minkowski_dot(tilt, tilt)))
+
+
+def near_dependent_normals():
+    """Three plane normals that meet at the ball center, with an exactly
+    positive Gram determinant of 2**-52 but a smallest singular value
+    below 1e-8 of the largest, so common_orthogonal_point refuses."""
+    return (np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 0.0]),
+            np.array([2.0 ** -26, 0.0, 1.0, 0.0]))
+
+
+def shrunk_octahedron_configuration(tri):
+    """Caps 3 and 5 of the symmetric octahedron shrunk to 0.8: every edge
+    still overlaps, but on face (3, 1, 5) the overlap angles sum to less
+    than pi, so its planes do not meet."""
+    cfg = symmetric_octahedron_configuration(tri)
+    radii = cfg.radii.copy()
+    radii[[3, 5]] = 0.8
+    return cfg.with_data(cfg.centers, radii)
+
+
+class TestArrayPassOracles:
+    def test_vertices_and_dihedrals_match_loops(self, oct_tri, solved_oct, bp3,
+                                                solved_bp3, ico_tri,
+                                                solved_ico,
+                                                realized_geodesic42):
+        sym = symmetric_octahedron_configuration(oct_tri)
+        for tri, cfg, theta in (
+                (oct_tri, *solved_oct), (bp3, *solved_bp3),
+                (ico_tri, *solved_ico), realized_geodesic42,
+                (oct_tri, sym, AngleAssignment.constant(oct_tri, OCT_ANGLE))):
+            poly = build_polyhedron(tri, cfg, theta)
+            normals = oracle_normals(tri, cfg)
+            assert poly.face_normals.tobytes() == normals.tobytes()
+            assert poly.vertices.tobytes() == \
+                oracle_face_vertices(tri, normals).tobytes()
+            dihedrals, err = {}, 0.0
+            for (u, w) in tri.edges:
+                c = -minkowski_dot(normals[u], normals[w])
+                dihedrals[(u, w)] = math.acos(min(1.0, max(-1.0, c)))
+                err = max(err, abs(dihedrals[(u, w)] - theta[(u, w)]))
+            assert repr(poly.dihedral_angles) == repr(dihedrals)
+            assert poly.angle_error_inf == err
+
+    def test_face_gram_dets_match_scalar(self, rng):
+        th = rng.uniform(0.05, math.pi - 0.05, size=(200, 3))
+        want = [face_gram_det(*row) for row in th.tolist()]
+        assert katsphere.polyhedron._face_gram_dets(th).tolist() == want
+
+    def test_gram_failure_raises_like_the_loop(self, oct_tri):
+        cfg = shrunk_octahedron_configuration(oct_tri)
+        want = outcome(oracle_face_vertices, oct_tri,
+                       oracle_normals(oct_tri, cfg))
+        assert want == (NotPositiveDefinite,
+                        "planes of face (3, 1, 5) do not meet: plane normals "
+                        "have a non-positive-definite Gram matrix")
+        theta = AngleAssignment.constant(oct_tri, OCT_ANGLE)
+        with pytest.raises(NotPositiveDefinite) as exc:
+            build_polyhedron(oct_tri, cfg, theta)
+        assert str(exc.value) == want[1]
+
+    def test_svd_failure_raises_like_the_loop(self, oct_tri):
+        # a triple that fails either test of common_orthogonal_point on
+        # the first face (0, 2, 4), alone and ahead of the Gram failure on
+        # face (3, 1, 5)
+        for cfg, triple in itertools.product(
+                (symmetric_octahedron_configuration(oct_tri),
+                 shrunk_octahedron_configuration(oct_tri)),
+                (near_ideal_normals(), near_dependent_normals())):
+            normals = oracle_normals(oct_tri, cfg)
+            normals[[0, 2, 4]] = triple
+            want = outcome(oracle_face_vertices, oct_tri, normals)
+            assert want == (PreconditionViolated,
+                            "planes do not meet in a single hyperbolic point")
+            assert outcome(katsphere.polyhedron._face_vertices, oct_tri,
+                           normals) == want
+
+    def test_random_normals_match_the_loop(self, rng):
+        kinds = set()
+        for tri in (bipyramid(5), icosahedron()):
+            for _ in range(20):
+                centers = rng.normal(size=(tri.n_vertices, 3))
+                centers /= np.linalg.norm(centers, axis=1)[:, None]
+                cfg = Configuration(tri, centers, rng.uniform(
+                    0.3, 2.0, size=tri.n_vertices), tri.faces[0])
+                normals = oracle_normals(tri, cfg)
+                want = outcome(oracle_face_vertices, tri, normals)
+                assert outcome(katsphere.polyhedron._face_vertices, tri,
+                               normals) == want
+                kinds.add(want[0] if isinstance(want, tuple) else bytes)
+        assert NotPositiveDefinite in kinds
+
+    def test_degenerate_cap_raises_like_cap(self, oct_tri):
+        sym = symmetric_octahedron_configuration(oct_tri)
+        theta = AngleAssignment.constant(oct_tri, OCT_ANGLE)
+        centers = sym.centers.copy()
+        centers[3] *= 1.0 + 1e-6
+        for cfg in (sym.with_data(centers, sym.radii),
+                    sym.with_data(sym.centers, np.where(
+                        np.arange(6) == 4, math.pi, sym.radii))):
+            want = outcome(oracle_normals, oct_tri, cfg)
+            assert want[0] is DegenerateCap
+            assert outcome(katsphere.polyhedron._plane_normals, cfg) == want

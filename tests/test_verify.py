@@ -11,7 +11,9 @@ Frozen expectations:
   across an edge is exactly 1.
 
 The vectorized pair checks are compared with slow scalar oracles that
-call sphere.inversive_distance once per vertex pair.
+call sphere.inversive_distance once per vertex pair, and the array pass
+over the edges behind the witness candidates with the per-edge loop of
+Cap objects and circle_intersection_points it replaced, bit for bit.
 """
 
 import math
@@ -23,7 +25,15 @@ from katsphere.angles import AngleAssignment
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
 from katsphere import verify
 from katsphere.solver import Configuration, _gate_state, solve
-from katsphere.sphere import inversive_distance, point_in_cap, sph_dist
+from katsphere.sphere import (
+    Cap,
+    circle_intersection_points,
+    circle_intersections,
+    fibonacci_sphere,
+    inversive_distance,
+    point_in_cap,
+    sph_dist,
+)
 from katsphere.verify import (
     TANGENCY_EPS,
     _facing_midpoint,
@@ -618,3 +628,212 @@ class TestPairKernelOracles:
             want = [inv <= 1.0 for inv in
                     oracle_nonadjacent_inversive(tri, cfg).values()]
             assert _gate_state(cfg)[tri.n_faces:].tolist() == want, name
+
+
+# ---------------------------------------------------------------------------
+# slow oracles for the array passes over edges
+# ---------------------------------------------------------------------------
+
+def oracle_witness_candidates(tri, cfg, samples):
+    """The per-edge Cap loop that verify._witness_candidates replaced."""
+    pts = [cfg.centers]
+    for (u, v) in tri.edges:
+        try:
+            corners = circle_intersection_points(cfg.cap(u), cfg.cap(v))
+        except Exception:
+            continue
+        for x in corners:
+            away = 2.0 * x - cfg.centers[u] - cfg.centers[v]
+            away = away - float(away @ x) * x
+            n = float(np.linalg.norm(away))
+            if n < 1e-12:
+                continue
+            away /= n
+            for eps in (1e-7, 1e-4, 3e-2):
+                y = x + eps * away
+                pts.append((y / np.linalg.norm(y))[None, :])
+    for (i, j, k) in tri.faces:
+        n = np.cross(cfg.centers[j] - cfg.centers[i],
+                     cfg.centers[k] - cfg.centers[i])
+        norm = float(np.linalg.norm(n))
+        if norm > 1e-12:
+            pts.append((n / norm)[None, :])
+            pts.append((-n / norm)[None, :])
+    pts.append(fibonacci_sphere(samples))
+    return np.vstack(pts)
+
+
+def oracle_crossings(ca, ra, cb, rb, tangent_eps):
+    """circle_intersection_points on two Caps, () where either raises."""
+    try:
+        return circle_intersection_points(Cap(ca, ra), Cap(cb, rb),
+                                          tangent_eps)
+    except Exception:
+        return ()
+
+
+def _on_equator(angle):
+    return np.array([math.cos(angle), math.sin(angle), 0.0])
+
+
+def _edited(cfg, **rows):
+    """cfg with center rows `c<v>=...` and radii `r<v>=...` replaced."""
+    centers, radii = cfg.centers.copy(), cfg.radii.copy()
+    for key, value in rows.items():
+        (centers if key[0] == "c" else radii)[int(key[1:])] = value
+    return cfg.with_data(centers, radii)
+
+
+def skip_branch_configurations(oct_tri):
+    """(name, configuration) per way an octahedron edge or face can lose
+    its probes; vertex 0 sits at +x, 2 at +y and 4 at +z, and (0, 2),
+    (0, 4), (2, 4) are edges of face (0, 2, 4)."""
+    sym = symmetric_octahedron_configuration(oct_tri)
+    rho = OCT_SYMMETRIC_RHO
+    a = 0.5
+    return [
+        ("long_center", _edited(sym, c4=[0.0, 0.0, 1.5])),
+        ("zero_center", _edited(sym, c4=[0.0, 0.0, 0.0])),
+        ("zero_radius", _edited(sym, r2=0.0)),
+        ("negative_radius", _edited(sym, r2=-0.5)),
+        ("radius_pi", _edited(sym, r5=math.pi)),
+        ("radius_above_pi", _edited(sym, r5=4.0)),
+        # the same circle twice: also a face with two equal centers
+        ("coincident", _edited(sym, c2=sym.centers[0])),
+        ("coincident_antipodal", _edited(sym, c2=-sym.centers[0],
+                                         r2=math.pi - rho)),
+        # centers 1e-7 apart: the same circle within the scalar test's
+        # tolerance, with cross products and den away from zero
+        ("near_coincident", _edited(sym, c2=_on_equator(1e-7))),
+        ("near_coincident_antipodal", _edited(
+            sym, c2=-_on_equator(1e-7), r2=math.pi - rho)),
+        ("antipodal_centers", _edited(sym, c2=-sym.centers[0])),
+        # centers 1e-9 apart: the rounded center dot product is 1
+        ("concentric", _edited(sym, c2=_on_equator(1e-9), r2=0.7)),
+        ("tangent", _edited(sym, c2=_on_equator(1.2), r0=0.5, r2=0.7)),
+        # boundaries touching where the two caps together cover the sphere
+        ("tangent_covering", _edited(sym, c2=_on_equator(2.0 * math.pi - 4.0),
+                                     r0=2.0, r2=2.0)),
+        # two equal caps touching at the north pole, where the corner's
+        # outward direction vanishes
+        ("tangent_zero_away", _edited(
+            sym, c0=[math.sin(a), 0.0, math.cos(a)],
+            c2=[-math.sin(a), 0.0, math.cos(a)], r0=a, r2=a)),
+        ("disjoint", _edited(sym, r0=0.3, r2=0.3)),
+    ]
+
+
+class TestArrayPassOracles:
+    SAMPLES = 64
+
+    def assert_candidates_match(self, tri, cfg, name):
+        got = verify._witness_candidates(tri, cfg, self.SAMPLES)
+        want = oracle_witness_candidates(tri, cfg, self.SAMPLES)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+    def test_witness_candidates_on_patterns(self, oct_tri, solved_oct, bp3,
+                                            solved_bp3, ico_tri, solved_ico,
+                                            realized_geodesic42):
+        for name, tri, cfg in (
+                ("oct", oct_tri, solved_oct[0]), ("bp3", bp3, solved_bp3[0]),
+                ("ico", ico_tri, solved_ico[0]),
+                ("geodesic42", realized_geodesic42[0],
+                 realized_geodesic42[1]),
+                ("symmetric_oct", oct_tri,
+                 symmetric_octahedron_configuration(oct_tri))):
+            self.assert_candidates_match(tri, cfg, name)
+
+    def test_witness_candidates_on_perturbations(self, realized_geodesic42):
+        rng = np.random.default_rng(20261018)
+        for i, tri in enumerate(ORACLE_COMPLEXES):
+            for k in range(3):
+                self.assert_candidates_match(
+                    tri, random_configuration(tri, rng), f"random-{i}-{k}")
+        tri, cfg, _ = realized_geodesic42
+        for k in range(3):
+            centers = cfg.centers + 0.05 * rng.normal(size=cfg.centers.shape)
+            centers /= np.linalg.norm(centers, axis=1)[:, None]
+            radii = cfg.radii * rng.uniform(0.7, 1.4, size=cfg.radii.shape)
+            self.assert_candidates_match(
+                tri, cfg.with_data(centers, radii), f"geodesic42-{k}")
+
+    def test_witness_candidates_skip_branches(self, oct_tri):
+        full = len(verify._witness_candidates(
+            oct_tri, symmetric_octahedron_configuration(oct_tri),
+            self.SAMPLES))
+        for name, cfg in skip_branch_configurations(oct_tri):
+            self.assert_candidates_match(oct_tri, cfg, name)
+            # every case drops probes the symmetric pattern has
+            got = verify._witness_candidates(oct_tri, cfg, self.SAMPLES)
+            assert len(got) < full, name
+
+    def test_circle_intersections_match_scalar(self):
+        north = np.array([0.0, 0.0, 1.0])
+
+        def tilt(angle):
+            return np.array([math.sin(angle), 0.0, math.cos(angle)])
+
+        # a unit center whose rounded squared norm is below 1: two caps
+        # on it pass the den test with a zero cross product, and the
+        # scalar function divides by zero
+        tilted = np.array([0.9698243673082586, -0.03271874667890908,
+                           -0.24159921396994988])
+        unit = Cap(tilted, 1.2).center
+        assert float(unit @ unit) < 1.0
+        with pytest.raises(ZeroDivisionError):
+            circle_intersection_points(Cap(tilted, 1.2),
+                                       Cap(tilted, 1.2 + 1e-11))
+        # (name, center u, radius u, center v, radius v, tangent_eps,
+        # points the scalar function finds)
+        pairs = [
+            ("crossing", north, 1.0, _on_equator(0.3), 1.2, TANGENCY_EPS, 2),
+            ("tangent", north, 0.5, _on_equator(0.0), math.pi / 2 - 0.5,
+             TANGENCY_EPS, 1),
+            ("disjoint", north, 0.3, _on_equator(0.0), 0.3, TANGENCY_EPS, 0),
+            ("coincident", north, 0.7, north, 0.7, TANGENCY_EPS, 0),
+            ("coincident_antipodal", north, 0.7, -north, math.pi - 0.7,
+             TANGENCY_EPS, 0),
+            ("antipodal", north, 0.7, -north, 1.0, TANGENCY_EPS, 0),
+            ("concentric", north, 0.7, north, 1.0, TANGENCY_EPS, 0),
+            ("near_coincident", north, 0.7, tilt(1e-7), 0.7, TANGENCY_EPS, 0),
+            ("near_coincident_antipodal", north, 0.7, -tilt(1e-7),
+             math.pi - 0.7, TANGENCY_EPS, 0),
+            ("den_zero", north, 0.7, tilt(1e-9), 1.0, TANGENCY_EPS, 0),
+            ("tangent_inside", north, 0.9, tilt(0.4), 0.5, TANGENCY_EPS, 1),
+            ("tangent_covering", north, 2.0, tilt(2.0 * math.pi - 4.0), 2.0,
+             TANGENCY_EPS, 1),
+            ("zero_axis", tilted, 1.2, tilted, 1.2 + 1e-11, TANGENCY_EPS, 0),
+            # two great circles flagged tangent by a wide tolerance: the
+            # base point of the formula is zero up to rounding
+            ("tangent_zero_base", north, math.pi / 2, tilt(0.05), math.pi / 2,
+             0.1, 0),
+            ("long_center", 1.5 * north, 1.0, _on_equator(0.3), 1.2,
+             TANGENCY_EPS, 0),
+            ("zero_radius", north, 0.0, _on_equator(0.3), 1.2,
+             TANGENCY_EPS, 0),
+            ("radius_pi", north, 1.0, _on_equator(0.3), math.pi,
+             TANGENCY_EPS, 0),
+        ]
+        for name, cu, ru, cv, rv, eps, count in pairs:
+            points, found = circle_intersections(
+                np.array([cu, cv]), np.array([ru, rv]), np.array([0]),
+                np.array([1]), tangent_eps=eps)
+            want = oracle_crossings(cu, ru, cv, rv, eps)
+            assert len(want) == count, name
+            assert found.shape == (1, 2), name
+            assert points[found].tobytes() == \
+                np.array(want).reshape(-1, 3).tobytes(), name
+
+    def test_ring_ratios_match_scalar(self, oct_tri, solved_oct,
+                                      realized_geodesic42):
+        for tri, cfg in ((oct_tri, solved_oct[0]),
+                         realized_geodesic42[:2]):
+            table = {}
+            for (u, v) in tri.edges:
+                hi = max(cfg.radii[u], cfg.radii[v])
+                lo = min(cfg.radii[u], cfg.radii[v])
+                table[(u, v)] = float(hi / lo)
+            rep = ring_ratios(tri, cfg)
+            assert repr(rep.table) == repr(table)
+            assert rep.max_ratio == max(table.values())
