@@ -95,7 +95,7 @@ class ConditionViolation:
 
     @property
     def margin(self) -> float:
-        """bound - value; nonpositive (up to slack) when violated."""
+        """bound - value; nonpositive when violated."""
         return self.bound - self.value
 
 
@@ -105,25 +105,21 @@ class ConditionReport:
     checked: dict[str, int]
     violations: tuple[ConditionViolation, ...]
     strict_arcs: bool
-    slack: float = 0.0
     transported: dict[Edge, Edge] | None = field(default=None, compare=False)
 
     def violations_for(self, condition: str) -> tuple[ConditionViolation, ...]:
         return tuple(v for v in self.violations if v.condition == condition)
 
 
-def _holds(value: float, bound: float, strict: bool, slack: float) -> bool:
-    if strict:
-        return value < bound + slack
-    return value <= bound + slack
+def _holds(value: float, bound: float, strict: bool) -> bool:
+    return value < bound if strict else value <= bound
 
 
-def check_admissible(tri: Triangulation, theta: AngleAssignment,
-                     slack: float = 0.0) -> ConditionReport:
+def check_admissible(tri: Triangulation,
+                     theta: AngleAssignment) -> ConditionReport:
     """Admissibility of an angle assignment on a triangulation.
 
-    Conditions checked, with `slack` loosening every inequality
-    (default 0: exact IEEE comparisons):
+    Conditions checked, by exact IEEE comparisons:
 
     * arc_pair: two-edge arcs with non-adjacent endpoints have angle sum
       <= pi, strictly on the double tetrahedron;
@@ -132,17 +128,17 @@ def check_admissible(tri: Triangulation, theta: AngleAssignment,
     * separating3: separating 3-cycles have angle sum < pi;
     * separating4: separating 4-cycles have angle sum < 2 pi.
     """
-    return _check(tri, theta, strict_arcs=tri.is_double_tetrahedron, slack=slack)
+    return _check(tri, theta, strict_arcs=tri.is_double_tetrahedron)
 
 
-def check_admissible_strict(tri: Triangulation, theta: AngleAssignment,
-                            slack: float = 0.0) -> ConditionReport:
+def check_admissible_strict(tri: Triangulation,
+                            theta: AngleAssignment) -> ConditionReport:
     """Same as check_admissible but with strict arc sums on every complex."""
-    return _check(tri, theta, strict_arcs=True, slack=slack)
+    return _check(tri, theta, strict_arcs=True)
 
 
-def _check(tri: Triangulation, theta: AngleAssignment, strict_arcs: bool,
-           slack: float) -> ConditionReport:
+def _check(tri: Triangulation, theta: AngleAssignment,
+           strict_arcs: bool) -> ConditionReport:
     theta.check_domain(tri.edges)
     violations: list[ConditionViolation] = []
     checked: dict[str, int] = {}
@@ -151,7 +147,7 @@ def _check(tri: Triangulation, theta: AngleAssignment, strict_arcs: bool,
     checked["arc_pair"] = len(arcs)
     for arc in arcs:
         s = theta[arc.edges[0]] + theta[arc.edges[1]]
-        if not _holds(s, _PI, strict_arcs, slack):
+        if not _holds(s, _PI, strict_arcs):
             violations.append(ConditionViolation(
                 "arc_pair", arc, s, _PI, strict_arcs))
 
@@ -161,13 +157,13 @@ def _check(tri: Triangulation, theta: AngleAssignment, strict_arcs: bool,
         ths = tuple(theta[e] for e in edges)
         curve = CurveReport(kind="face3", vertices=f, edges=edges)
         total = sum(ths)
-        if not _holds(-total, -_PI, True, slack):   # total > pi
+        if not _holds(-total, -_PI, True):   # total > pi
             violations.append(ConditionViolation(
                 "face_triple", curve, total, _PI, True))
         for i in range(3):
             pair = ths[i] + ths[(i + 1) % 3]
             bound = ths[(i + 2) % 3] + _PI
-            if not _holds(pair, bound, True, slack):
+            if not _holds(pair, bound, True):
                 violations.append(ConditionViolation(
                     "face_triple", curve, pair, bound, True))
 
@@ -177,12 +173,12 @@ def _check(tri: Triangulation, theta: AngleAssignment, strict_arcs: bool,
         bound = _PI if k == 3 else 2.0 * _PI
         for cyc in cycles:
             s = sum(theta[e] for e in cyc.edges)
-            if not _holds(s, bound, True, slack):
+            if not _holds(s, bound, True):
                 violations.append(ConditionViolation(cond, cyc, s, bound, True))
 
     return ConditionReport(ok=not violations, checked=checked,
                            violations=tuple(violations),
-                           strict_arcs=strict_arcs, slack=slack)
+                           strict_arcs=strict_arcs)
 
 
 def transport_dual_angles(dual: DualComplex, theta_dual: AngleAssignment
@@ -194,8 +190,8 @@ def transport_dual_angles(dual: DualComplex, theta_dual: AngleAssignment
     return tri, AngleAssignment(primal), edge_map
 
 
-def check_dual_admissible(dual: DualComplex, theta_dual: AngleAssignment,
-                          slack: float = 0.0) -> ConditionReport:
+def check_dual_admissible(dual: DualComplex,
+                          theta_dual: AngleAssignment) -> ConditionReport:
     """Admissibility for data on a trivalent complex.
 
     Transports the assignment to the primal triangulation and delegates;
@@ -205,8 +201,8 @@ def check_dual_admissible(dual: DualComplex, theta_dual: AngleAssignment,
     back on the dual side.
     """
     tri, theta, edge_map = transport_dual_angles(dual, theta_dual)
-    rep = check_admissible(tri, theta, slack=slack)
+    rep = check_admissible(tri, theta)
     return ConditionReport(ok=rep.ok, checked=rep.checked,
                            violations=rep.violations,
-                           strict_arcs=rep.strict_arcs, slack=rep.slack,
+                           strict_arcs=rep.strict_arcs,
                            transported=dict(edge_map))

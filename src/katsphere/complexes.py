@@ -39,15 +39,12 @@ class CurveReport:
 
     kind is one of 'arc2', 'face3', 'separating3', 'separating4',
     'prismatic3', 'prismatic4'.  For arcs, vertices = (endpoint, middle,
-    endpoint); for cycles, vertices in cyclic order.  side_counts gives
-    the number of vertices strictly on each side of a closed curve
-    (sorted ascending), and is None for arcs.
+    endpoint); for cycles, vertices in cyclic order.
     """
 
     kind: str
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
-    side_counts: tuple[int, int] | None = None
 
 
 class Triangulation:
@@ -207,6 +204,19 @@ def build_triangulation(faces: Iterable[Iterable[int]]) -> Triangulation:
             raise NotManifold(f"link of vertex {v} is not a single cycle")
         neighbors.append(tuple(cycle))
 
+    # A connected closed surface with chi = 2 is the sphere; a disjoint
+    # union such as a sphere plus a torus also sums to chi = 2.
+    reached = {0}
+    stack = [0]
+    while stack:
+        for w in neighbors[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) < n:
+        raise NotSphere(
+            f"{n - len(reached)} vertices are not connected to vertex 0")
+
     faces_of_edge: dict[Edge, tuple[int, int]] = {}
     for (u, v), fi in directed.items():
         e = norm_edge(u, v)
@@ -251,11 +261,7 @@ def separating_cycles(tri: Triangulation, k: int) -> tuple[CurveReport, ...]:
     separation is decided locally: a 3-cycle separates exactly when it is
     not a face, and a 4-cycle (u, a, x, b) fails to separate exactly when
     one diagonal closes two faces inside it, i.e. {u, a, x} and {u, x, b}
-    are faces, or {a, x, b} and {a, b, u} are.  Each side of a separating
-    cycle is a disk; one of F faces bounded by the k-cycle holds
-    (F - k + 2) / 2 vertices by Euler's formula.  Face searches on the two
-    sides of one cycle edge advance in turn and stop when the smaller side
-    is exhausted, so a cycle costs time bounded by its smaller side.
+    are faces, or {a, x, b} and {a, b, u} are.
     """
     if k == 3:
         raw = [c for c in _three_cycles(tri) if not tri.is_face(*c)]
@@ -269,36 +275,8 @@ def separating_cycles(tri: Triangulation, k: int) -> tuple[CurveReport, ...]:
     for cyc in raw:
         edges = tuple(norm_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))
         out.append(CurveReport(kind=f"separating{k}", vertices=cyc,
-                               edges=edges,
-                               side_counts=_side_counts(tri, cyc, edges)))
+                               edges=edges))
     return tuple(out)
-
-
-def _side_counts(tri: Triangulation, cycle: tuple[int, ...],
-                 edges: tuple[Edge, ...]) -> tuple[int, int]:
-    """Vertex counts strictly inside the two sides of a separating cycle."""
-    k = len(cycle)
-    cut = set(edges)
-    # the two faces on a cycle edge lie on opposite sides
-    sides = [([f], {f}) for f in tri.faces_of_edge[edges[0]]]
-    while sides[0][0] and sides[1][0]:
-        for stack, seen in sides:
-            a, b, c = tri.faces[stack.pop()]
-            for e in (norm_edge(a, b), norm_edge(b, c), norm_edge(c, a)):
-                if e in cut:
-                    continue
-                for g in tri.faces_of_edge[e]:
-                    if g not in seen:
-                        seen.add(g)
-                        stack.append(g)
-    # both searches popped equally often, so the exhausted side is no larger
-    f_in = len(sides[0][1] if not sides[0][0] else sides[1][1])
-    lo = (f_in - k + 2) // 2
-    hi = tri.n_vertices - k - lo
-    if (f_in - k) % 2 or not 1 <= lo <= hi:
-        raise NotSphere(
-            f"cutting along {cycle} leaves a side of {f_in} faces")
-    return (lo, hi)
 
 
 def _three_cycles(tri: Triangulation) -> list[tuple[int, int, int]]:
@@ -321,15 +299,6 @@ def _four_cycles(tri: Triangulation) -> list[tuple[int, int, int, int]]:
                     if x > u and x != u:
                         out.append((u, a, x, b))
     return out
-
-
-def face_cycles_report(tri: Triangulation) -> tuple[CurveReport, ...]:
-    """Each face boundary as a curve report (kind 'face3')."""
-    out = []
-    for f in tri.faces:
-        edges = tuple(norm_edge(f[i], f[(i + 1) % 3]) for i in range(3))
-        out.append(CurveReport(kind="face3", vertices=f, edges=edges))
-    return tuple(out)
 
 
 # -- dual complex ------------------------------------------------------------
@@ -474,7 +443,7 @@ def prismatic_circuits(dual: DualComplex, k: int) -> tuple[CurveReport, ...]:
             flanks.extend(tri.faces_of_edge[e])
         if len(set(flanks)) == 2 * k:
             out.append(CurveReport(kind=f"prismatic{k}", vertices=rep.vertices,
-                                   edges=rep.edges, side_counts=rep.side_counts))
+                                   edges=rep.edges))
     return tuple(out)
 
 

@@ -88,32 +88,41 @@ def dump_dual(name: str, dual: DualComplex) -> str:
 # angle assignments
 # ---------------------------------------------------------------------------
 
-def load_angles(path, degrees: bool = False) -> AngleAssignment:
-    data = _load_json(path)
-    _expect(isinstance(data, dict) and "edges" in data,
-            f"{path}: expected an object with an 'edges' list")
-    entries = data["edges"]
+def _read_angles(path, entries, label: str,
+                 degrees: bool = False) -> AngleAssignment:
+    """Read a list of {u, v, theta} records found at `label` in `path`."""
     _expect(isinstance(entries, list) and entries,
-            f"{path}: 'edges' must be a non-empty list")
+            f"{path}: '{label}' must be a non-empty list")
     values = {}
+    # messages are formatted only on failure: a mesh has thousands of edges
     for i, item in enumerate(entries):
-        _expect(isinstance(item, dict)
-                and {"u", "v", "theta"} <= set(item),
-                f"{path}: edges[{i}] needs keys u, v, theta")
+        if not (isinstance(item, dict) and {"u", "v", "theta"} <= item.keys()):
+            raise ParseError(f"{path}: {label}[{i}] needs keys u, v, theta")
         u, v, th = item["u"], item["v"], item["theta"]
-        _expect(isinstance(u, int) and isinstance(v, int) and u < v,
-                f"{path}: edges[{i}] must have integer u < v")
-        _expect(isinstance(th, (int, float)) and not isinstance(th, bool),
-                f"{path}: edges[{i}].theta must be a number")
-        _expect((u, v) not in values, f"{path}: duplicate edge ({u}, {v})")
+        if not (isinstance(u, int) and isinstance(v, int) and u < v):
+            raise ParseError(f"{path}: {label}[{i}] must have integer u < v")
+        if not isinstance(th, (int, float)) or isinstance(th, bool):
+            raise ParseError(f"{path}: {label}[{i}].theta must be a number")
+        if (u, v) in values:
+            raise ParseError(f"{path}: duplicate edge ({u}, {v})")
         values[(u, v)] = math.radians(float(th)) if degrees else float(th)
     return AngleAssignment(values)
 
 
+def _angle_entries(theta: AngleAssignment) -> list[dict]:
+    return [{"u": u, "v": v, "theta": th}
+            for (u, v), th in sorted(theta.items())]
+
+
+def load_angles(path, degrees: bool = False) -> AngleAssignment:
+    data = _load_json(path)
+    _expect(isinstance(data, dict) and "edges" in data,
+            f"{path}: expected an object with an 'edges' list")
+    return _read_angles(path, data["edges"], "edges", degrees)
+
+
 def dump_angles(theta: AngleAssignment) -> str:
-    entries = [{"u": u, "v": v, "theta": th}
-               for (u, v), th in sorted(theta.items())]
-    return canonical_json({"edges": entries})
+    return canonical_json({"edges": _angle_entries(theta)})
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +143,7 @@ def dump_pattern(cfg, report, theta: AngleAssignment | None) -> str:
         "repairs": int(report.repairs),
     }
     if theta is not None:
-        rep["target_angles"] = [{"u": u, "v": v, "theta": th}
-                                for (u, v), th in sorted(theta.items())]
+        rep["target_angles"] = _angle_entries(theta)
     return canonical_json({
         "centers": [list(map(float, row)) for row in cfg.centers],
         "radii": [float(r) for r in cfg.radii],
@@ -149,7 +157,8 @@ def load_pattern(path, tri: Triangulation):
     """Read a pattern file back as (Configuration, targets or None, report).
 
     The configuration is validated against the triangulation's vertex
-    count and face list; numerical quality is the verify module's job.
+    count and face list, and stored targets against its edge set;
+    numerical quality is the verify module's job.
     """
     from .solver import Configuration
 
@@ -178,16 +187,9 @@ def load_pattern(path, tri: Triangulation):
     _expect(isinstance(report, dict), f"{path}: 'report' must be an object")
     theta = None
     if "target_angles" in report:
-        entries = report["target_angles"]
-        _expect(isinstance(entries, list),
-                f"{path}: report.target_angles must be a list")
-        values = {}
-        for i, item in enumerate(entries):
-            _expect(isinstance(item, dict)
-                    and {"u", "v", "theta"} <= set(item),
-                    f"{path}: target_angles[{i}] needs keys u, v, theta")
-            values[(item["u"], item["v"])] = float(item["theta"])
-        theta = AngleAssignment(values)
+        theta = _read_angles(path, report["target_angles"],
+                             "report.target_angles")
+        theta.check_domain(tri.edges)
     cfg = Configuration(tri, np.array(centers, dtype=float),
                         np.array(radii, dtype=float), tuple(gauge))
     return cfg, theta, report

@@ -48,6 +48,20 @@ def stacked2():
 
 
 @pytest.fixture(scope="session")
+def octahedron_plus_torus(oct_tri):
+    """Face list of the octahedron beside a disjoint 6 x 6 grid torus
+    (vertices 6..41); the union has Euler characteristic 2 + 0 = 2."""
+    def at(i, j):
+        return 6 + 6 * (i % 6) + j % 6
+    torus = []
+    for i in range(6):
+        for j in range(6):
+            a, b, c, d = at(i, j), at(i + 1, j), at(i + 1, j + 1), at(i, j + 1)
+            torus += [(a, b, c), (a, c, d)]
+    return list(oct_tri.faces) + torus
+
+
+@pytest.fixture(scope="session")
 def solved_oct(oct_tri):
     theta = AngleAssignment.constant(oct_tri, 2.0 * math.pi / 5.0)
     cfg, rep = solve(oct_tri, theta)

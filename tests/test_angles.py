@@ -119,12 +119,6 @@ class TestAdmissibility:
             assert v.value == pytest.approx(2 * _PI)
             assert v.bound == pytest.approx(2 * _PI)
 
-    def test_octahedron_slack_forgives_boundary(self, oct_tri):
-        rep = check_admissible(
-            oct_tri, AngleAssignment.constant(oct_tri, _PI / 2), slack=1e-9
-        )
-        assert rep.ok
-
     def test_icosahedron_right_angles_ok(self, ico_tri):
         # no separating 3- or 4-cycles, arcs sum to exactly pi (non-strict)
         rep = check_admissible(ico_tri, AngleAssignment.constant(ico_tri, _PI / 2))

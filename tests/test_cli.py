@@ -91,6 +91,21 @@ class TestValidate:
         code = cli.main(["validate", str(cli_ws["complex"]), str(bad)])
         assert code == cli.EXIT_PARSE
 
+    def test_sphere_plus_torus_is_a_parse_error(self, octahedron_plus_torus,
+                                                tmp_path, capsys):
+        complex_path = tmp_path / "union.json"
+        complex_path.write_text(json.dumps(
+            {"faces": [list(f) for f in octahedron_plus_torus]}))
+        edges = sorted({(min(a, b), max(a, b))
+                        for f in octahedron_plus_torus
+                        for a, b in zip(f, f[1:] + f[:1])})
+        angles_path = tmp_path / "angles.json"
+        angles_path.write_text(json.dumps({"edges": [
+            {"u": u, "v": v, "theta": GOLDEN} for u, v in edges]}))
+        code = cli.main(["validate", str(complex_path), str(angles_path)])
+        assert code == cli.EXIT_PARSE
+        assert "not connected" in capsys.readouterr().err
+
 
 def json_edges(cli_ws):
     data = json.loads(cli_ws["angles"].read_text())
@@ -166,6 +181,16 @@ class TestVerify:
         assert code == cli.EXIT_GATE
         report = json.loads(capsys.readouterr().out)
         assert report["flags"]["contact"] is False
+
+    def test_non_numeric_target_angle_is_a_parse_error(self, cli_ws,
+                                                       tmp_path, capsys):
+        data = json.loads(cli_ws["pattern"].read_text())
+        data["report"]["target_angles"][0]["theta"] = "1.2"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = cli.main(["verify", str(cli_ws["complex"]), str(bad)])
+        assert code == cli.EXIT_PARSE
+        assert "must be a number" in capsys.readouterr().err
 
     def test_small_sample_count_still_finds_center_witnesses(self, cli_ws,
                                                              capsys):

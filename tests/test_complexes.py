@@ -17,7 +17,6 @@ from katsphere.complexes import (
     build_dual_complex,
     build_triangulation,
     dualize,
-    face_cycles_report,
     is_isomorphic,
     norm_edge,
     primalize,
@@ -132,6 +131,14 @@ def oracle_cycle_sides(tri, cycle):
     return tuple(sorted(counts))
 
 
+def assert_separates(tri, rep):
+    """Both sides of the reported cycle hold a vertex, by flood fill."""
+    sides = oracle_cycle_sides(tri, rep.vertices)
+    assert sides[0] >= 1
+    assert sum(sides) == tri.n_vertices - len(rep.vertices)
+    return sides
+
+
 def oracle_prismatic(tri, reports):
     """Filter separating cycles by the all-flanking-faces-distinct rule."""
     out = []
@@ -148,6 +155,15 @@ def oracle_prismatic(tri, reports):
 
 def _sep_edge_sets(reports):
     return {frozenset(r.edges) for r in reports}
+
+
+def seven_vertex_torus(offset=0):
+    """Moebius-Kantor 7-vertex torus: chi = 7 - 21 + 14 = 0."""
+    faces = []
+    for i in range(7):
+        faces.append((i, (i + 1) % 7, (i + 3) % 7))
+        faces.append(((i + 1) % 7, (i + 4) % 7, (i + 3) % 7))
+    return [tuple(v + offset for v in f) for f in faces]
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +212,20 @@ class TestBuildValidation:
         with pytest.raises(NotSphere):
             build_triangulation(list(oct_tri.faces) + shifted)
 
-    def test_torus_rejected(self):
-        # Moebius-Kantor 7-vertex torus: chi = 7 - 21 + 14 = 0.
-        faces = []
-        for i in range(7):
-            faces.append((i, (i + 1) % 7, (i + 3) % 7))
-            faces.append(((i + 1) % 7, (i + 4) % 7, (i + 3) % 7))
-        with pytest.raises((NotSphere, NotManifold)):
+    def test_sphere_plus_seven_vertex_torus_not_sphere(self, oct_tri):
+        # chi = 2 + 0, and every vertex link is a cycle
+        faces = list(oct_tri.faces) + seven_vertex_torus(offset=6)
+        with pytest.raises(NotSphere, match="7 vertices are not connected"):
             build_triangulation(faces)
+
+    def test_sphere_plus_grid_torus_not_sphere(self, octahedron_plus_torus):
+        # no 3- or 4-cycle of the 6 x 6 torus separates anything
+        with pytest.raises(NotSphere, match="36 vertices are not connected"):
+            build_triangulation(octahedron_plus_torus)
+
+    def test_torus_rejected(self):
+        with pytest.raises((NotSphere, NotManifold)):
+            build_triangulation(seven_vertex_torus())
 
     def test_rotation_order_consistent(self, ico_tri):
         for v in range(ico_tri.n_vertices):
@@ -280,7 +302,7 @@ class TestCurveEnumeration:
         quads = separating_cycles(oct_tri, 4)
         assert len(quads) == 3
         for rep in quads:
-            assert rep.side_counts == (1, 1)
+            assert assert_separates(oct_tri, rep) == (1, 1)
 
     def test_icosahedron_frozen_counts(self, ico_tri):
         # each link is a pentagon: 5 non-adjacent pairs per vertex
@@ -292,17 +314,14 @@ class TestCurveEnumeration:
         reps = separating_cycles(bp3, 3)
         assert len(reps) == 1
         assert set(reps[0].vertices) == {0, 1, 2}
-        assert reps[0].side_counts == (1, 1)
+        assert assert_separates(bp3, reps[0]) == (1, 1)
         assert separating_cycles(bp3, 4) == ()
 
     @pytest.mark.parametrize("tri", CATALOG, ids=lambda t: f"V{t.n_vertices}F{len(t.faces)}")
     def test_side_counts_invariant(self, tri):
         for k in (3, 4):
             for rep in separating_cycles(tri, k):
-                assert rep.side_counts is not None
-                assert sum(rep.side_counts) + k == tri.n_vertices
-                assert rep.side_counts[0] >= 1
-                assert rep.side_counts == oracle_cycle_sides(tri, rep.vertices)
+                assert_separates(tri, rep)
 
     def test_stacked300_frozen_counts(self):
         # nested cycles at a scale the catalog does not reach; the flood
@@ -314,13 +333,7 @@ class TestCurveEnumeration:
         assert len(fours) == 2191
         assert len(two_edge_arcs(tri)) == 13848
         for rep in threes[::30] + fours[::150]:
-            assert rep.side_counts == oracle_cycle_sides(tri, rep.vertices)
-
-    def test_face_cycles_report_kinds(self, bp3):
-        reps = face_cycles_report(bp3)
-        assert len(reps) == len(bp3.faces)
-        assert all(r.kind == "face3" for r in reps)
-        assert all(len(r.edges) == 3 for r in reps)
+            assert_separates(tri, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +450,7 @@ def test_random_stacked_sphere_invariants(faces):
     assert _sep_edge_sets(separating_cycles(tri, 4)) == oracle_separating4(tri)
     for k in (3, 4):
         for rep in separating_cycles(tri, k):
-            assert rep.side_counts == oracle_cycle_sides(tri, rep.vertices)
+            assert_separates(tri, rep)
 
 
 @settings(max_examples=30, deadline=None)

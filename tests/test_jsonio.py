@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from katsphere.angles import AngleAssignment
-from katsphere.errors import ParseError
+from katsphere.errors import DomainMismatch, ParseError
 from katsphere.jsonio import (
     canonical_json,
     dump_angles,
@@ -135,6 +135,26 @@ class TestPattern:
         path = tmp_path / "pattern.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match="not a face"):
+            load_pattern(path, oct_tri)
+
+    @pytest.mark.parametrize("mutate, error", [
+        (lambda rep: rep["target_angles"][0].update(theta="1.2"), ParseError),
+        (lambda rep: rep["target_angles"][0].update(u="0"), ParseError),
+        (lambda rep: rep["target_angles"][0].update(theta=[1.2]), ParseError),
+        (lambda rep: rep["target_angles"].pop(), DomainMismatch),
+        (lambda rep: rep.update(target_angles={"u": 0}), ParseError),
+    ], ids=["string-theta", "string-u", "list-theta", "missing-edge",
+            "not-a-list"])
+    def test_malformed_target_angles(self, oct_tri, solved_oct, tmp_path,
+                                     mutate, error):
+        cfg, theta = solved_oct
+        from katsphere.solver import solve
+        _, rep = solve(oct_tri, theta)
+        data = json.loads(dump_pattern(cfg, rep, theta))
+        mutate(data["report"])
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(error):
             load_pattern(path, oct_tri)
 
 
