@@ -83,9 +83,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    try:
+        opts = SolveOptions(tolerance=args.tol)
+    except ValueError as exc:
+        raise ParseError(f"--tol: {exc}") from None
     _, tri = jsonio.load_complex(args.complex)
     theta = jsonio.load_angles(args.angles, degrees=args.degrees)
-    opts = SolveOptions(tolerance=args.tol)
     t0 = time.perf_counter()
     try:
         cfg, rep = solve(tri, theta, options=opts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -35,6 +36,13 @@ def _load_json(path):
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise ParseError(message)
+
+
+def _finite_number(x) -> bool:
+    """A JSON number a float holds: not a boolean, NaN or Infinity (which
+    Python's reader accepts), nor an integer beyond the float range."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ def _read_angles(path, entries, label: str,
         u, v, th = item["u"], item["v"], item["theta"]
         if not (isinstance(u, int) and isinstance(v, int) and u < v):
             raise ParseError(f"{path}: {label}[{i}] must have integer u < v")
-        if not isinstance(th, (int, float)) or isinstance(th, bool):
+        if not _finite_number(th):
             raise ParseError(f"{path}: {label}[{i}].theta must be a number")
         if (u, v) in values:
             raise ParseError(f"{path}: duplicate edge ({u}, {v})")
@@ -173,11 +181,11 @@ def load_pattern(path, tri: Triangulation):
             f"{path}: 'centers' must list {n} points")
     for i, row in enumerate(centers):
         _expect(isinstance(row, list) and len(row) == 3
-                and all(isinstance(x, (int, float)) for x in row),
-                f"{path}: centers[{i}] must be three numbers")
+                and all(_finite_number(x) for x in row),
+                f"{path}: centers[{i}] must be three finite numbers")
     _expect(isinstance(radii, list) and len(radii) == n
-            and all(isinstance(x, (int, float)) for x in radii),
-            f"{path}: 'radii' must list {n} numbers")
+            and all(_finite_number(x) for x in radii),
+            f"{path}: 'radii' must list {n} finite numbers")
     gauge = data["gauge_face"]
     _expect(isinstance(gauge, list) and len(gauge) == 3
             and all(isinstance(v, int) for v in gauge),

@@ -29,7 +29,8 @@ from .sphere import (
     MINKOWSKI_METRIC,
     _clamped_acos,
     _elementwise,
-    _unit_caps,
+    _minkowski_rows,
+    _plane_normals,
     common_orthogonal_point,
     minkowski_dot,
 )
@@ -68,12 +69,6 @@ def _positive_definite(g: np.ndarray) -> np.ndarray:
     return ((g[..., 0, 0] > 0.0)
             & (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0] > 0.0)
             & (np.linalg.det(g) > 0.0))
-
-
-def _minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """minkowski_dot along the last axis, rounded like the scalar call."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-            + a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
 def face_vertex(n_i: np.ndarray, n_j: np.ndarray,
@@ -154,7 +149,7 @@ def build_polyhedron(tri: Triangulation, cfg,
             f"target angles on face {tri.faces[bad[0]]} are not realizable "
             f"(Gram determinant {float(det[bad[0]]):.3e})")
 
-    normals = _plane_normals(cfg)
+    normals = _plane_normals(cfg.centers, cfg.radii)
     verts = _face_vertices(tri, normals)
 
     # slack[f, w] = minkowski_dot(vertex of face f, normal of cap w), in
@@ -190,16 +185,6 @@ def _face_gram_dets(th: np.ndarray) -> np.ndarray:
     cs, ck, ci, cj = (_elementwise(math.cos, x)
                       for x in (s, s - tk, s - ti, s - tj))
     return -4.0 * (cs * ck * ci * cj)
-
-
-def _plane_normals(cfg) -> np.ndarray:
-    """cap_plane_normal of every cap, one row per vertex."""
-    unit, valid = _unit_caps(cfg.centers, cfg.radii)
-    if not valid.all():
-        cfg.cap(int(np.argmin(valid)))    # raises the first cap's DegenerateCap
-    sin = _elementwise(math.sin, cfg.radii)
-    return np.column_stack([unit / sin[:, None],
-                            _elementwise(math.cos, cfg.radii) / sin])
 
 
 def _face_vertices(tri: Triangulation, normals: np.ndarray) -> np.ndarray:

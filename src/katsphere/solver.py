@@ -3,34 +3,33 @@
 Unknowns and gauge
 ------------------
 A configuration assigns to every vertex of the triangulation a spherical
-cap.  The Moebius group of the sphere has dimension six, which the solver
-removes by pinning the caps of one distinguished face (a, b, c):
+cap.  The solver has one chart: every vertex carries a pair of offsets
+along a tangent frame at its center and x = log tan(r/2), which covers
+all radii in (0, pi) (the radius variable of Bobenko and Springborn's
+variational principle).  The (n, 3) integer map `_Layout.col` sends
+coordinate k of vertex v to its free column, or to -1 where a gauge
+fixes it; the Jacobian, the step and the feasibility test are array
+passes over this map.
 
-* all three gauge radii are held at pi/2 (great circles),
-* the center of `a` is the south pole (0, 0, -1),
-* the center of `b` stays on the meridian y = 0 with x > 0, leaving a
-  single colatitude coordinate,
+The Moebius group of the sphere has dimension six.  The face gauge of
+one distinguished face (a, b, c) removes it by fixing coordinates:
+
+* all three gauge radii stay at pi/2 (great circles),
+* the center of `a` stays at the south pole (0, 0, -1),
+* the center of `b` moves only along its meridian tangent, so it stays
+  on the meridian y = 0; feasibility keeps it at x > 0,
 * the center of `c` keeps y > 0, which fixes the remaining reflection.
 
-The free coordinates are then the meridian angle of `b`, two tangent-plane
-coordinates per remaining vertex, and one radius per vertex outside the
-gauge face.  That is 1 + 2(n-2) + (n-3) = 3n - 6 coordinates against one
-overlap-angle residual per edge, a square system.
+The free coordinates are then the meridian offset of `b` (column 0), the
+tangent pairs of the other vertices in vertex order, and x for every
+vertex outside the gauge face: 1 + 2(n-2) + (n-3) = 3n - 6 coordinates
+against one overlap-angle residual per edge, a square system.  Fixed
+coordinates keep their bits through every step.
 
-Every vertex carries three chart coordinates: a pair of offsets along a
-tangent frame at its center, and its radius.  The (n, 3) integer map
-`_Layout.col` sends coordinate k of vertex v to its free column, or to -1
-where the gauge fixes it.  Column 0 is the meridian angle of `b`, whose
-frame's first vector is the meridian tangent; the tangent pairs of the
-other vertices follow in vertex order, then the non-gauge radii.  The
-Jacobian and the step are array passes over this map.
-
-`solve` itself runs in a chart without a gauge.  Every vertex has three
-free coordinates there: its tangent pair and x = log tan(r/2), which
-covers all radii in (0, pi).  Nothing is pinned; the Levenberg-Marquardt
-damping absorbs the six-dimensional Moebius null space, so each cold start
-aims straight at the prescribed angles.  The starts are tried in order,
-each built only when the one before it missed:
+Without a gauge every coordinate is free.  The Levenberg-Marquardt
+damping then absorbs the six-dimensional Moebius null space, so each cold
+start of `solve` aims straight at the prescribed angles.  The starts are
+tried in order, each built only when the one before it missed:
 
 1. a Tutte embedding with the requested gauge face as the outer
    triangle, lifted to the sphere and centered by Moebius boosts;
@@ -42,9 +41,9 @@ The octant start stays because the Tutte start does not reach every
 input: on the uniform bipyramid(9) it stalls with overlapping
 non-adjacent caps, while the octant start converges.  Every start ends
 in one finish: its answer is moved into the requested face gauge by
-`regauge`, polished there with `jacobian` and `apply_step`, and accepted
-only with radii in bounds and no flipped face or overlapping non-adjacent
-pair.  The first answer to pass wins.
+`regauge`, polished there in the same chart with the gauge's columns
+fixed, and accepted only with radii in bounds and no flipped face or
+overlapping non-adjacent pair.  The first answer to pass wins.
 """
 
 from __future__ import annotations
@@ -65,13 +64,13 @@ from .errors import (
 )
 from .sphere import (
     Cap,
+    _normal_caps,
+    _plane_normals,
     _rowdot,
     boost_to_center,
-    cap_plane_normal,
     common_orthogonal_point,
     face_excesses,
     inversive_matrix,
-    plane_normal_cap,
 )
 from .verify import radii_bounds, separation_margin
 
@@ -144,6 +143,14 @@ class SolveOptions:
     tolerance: float = 1e-10
     fallback_gauges: int = 6     # other faces given an octant start
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be positive and finite, "
+                             f"got {self.tolerance!r}")
+        if self.fallback_gauges < 0:
+            raise ValueError(f"fallback_gauges must not be negative, "
+                             f"got {self.fallback_gauges!r}")
+
 
 # ---------------------------------------------------------------------------
 # gauge bookkeeping
@@ -162,27 +169,32 @@ def _require_oriented_face(tri: Triangulation, face) -> tuple[int, int, int]:
 
 
 class _Layout:
-    """Free columns of the gauge chart: col[v, k] for the tangent pair
-    (k = 0, 1) and the radius (k = 2) of vertex v, -1 where fixed."""
+    """Free columns of a chart: col[v, k] for the tangent pair (k = 0, 1)
+    and x = log tan(r/2) (k = 2) of vertex v, -1 where the face gauge
+    fixes it.  Without a gauge every coordinate is free, in vertex order."""
 
-    def __init__(self, n: int, gauge: tuple[int, int, int]):
-        a, b, c = gauge
-        self.b, self.c = b, c
-        col = np.full((n, 3), -1)
-        tangent = np.delete(np.arange(n), [a, b])
-        col[tangent, 0] = 1 + 2 * np.arange(len(tangent))
-        col[tangent, 1] = col[tangent, 0] + 1
-        col[b, 0] = 0
-        radius = np.delete(np.arange(n), gauge)
-        col[radius, 2] = 1 + 2 * len(tangent) + np.arange(len(radius))
+    def __init__(self, n: int, gauge: tuple[int, int, int] | None):
+        self.gauge = gauge
+        if gauge is None:
+            col = np.arange(3 * n).reshape(n, 3)
+        else:
+            a, b, c = gauge
+            col = np.full((n, 3), -1)
+            tangent = np.delete(np.arange(n), [a, b])
+            col[tangent, 0] = 1 + 2 * np.arange(len(tangent))
+            col[tangent, 1] = col[tangent, 0] + 1
+            col[b, 0] = 0
+            radius = np.delete(np.arange(n), gauge)
+            col[radius, 2] = 1 + 2 * len(tangent) + np.arange(len(radius))
         col.setflags(write=False)
         self.col = col
-        self.n_free = 3 * n - 6
+        self.n_free = int(np.count_nonzero(col >= 0))
 
 
 @lru_cache(maxsize=64)
-def _layout(n: int, gauge: tuple[int, int, int]) -> _Layout:
-    """The gauge chart of `gauge`, built once and shared read-only."""
+def _layout(n: int, gauge: tuple[int, int, int] | None) -> _Layout:
+    """The chart of `gauge` (None: no gauge), built once and shared
+    read-only."""
     return _Layout(n, gauge)
 
 
@@ -201,13 +213,14 @@ def _tangent_frames(P: np.ndarray) -> np.ndarray:
     return np.stack([e1, np.cross(P, e1)], axis=1)
 
 
-def _meridian_angle(p: np.ndarray) -> float:
-    """Colatitude of a point on the meridian y = 0, measured from south."""
-    return math.atan2(float(p[0]), -float(p[2]))
-
-
-def _meridian_point(phi: float) -> np.ndarray:
-    return np.array([math.sin(phi), 0.0, -math.cos(phi)])
+def _chart_frames(P: np.ndarray, lay: _Layout) -> np.ndarray:
+    """The tangent frames of the chart: in a face gauge, b's first vector
+    is its meridian tangent, so b moves along the meridian y = 0."""
+    frames = _tangent_frames(P)
+    if lay.gauge is not None:
+        b = lay.gauge[1]
+        frames[b, 0] = (-P[b, 2], 0.0, P[b, 0])
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +401,12 @@ def _residual_or_none(cfg: Configuration, target: np.ndarray) -> np.ndarray | No
     return np.arccos(inv) - target
 
 
-def _edge_blocks(cfg: Configuration, frames: np.ndarray):
-    """Derivatives of the edge angles at each edge end, in its tangent
-    pair along `frames` and its radius: yields (end vertices, (E, 3)
-    block) for the u ends and then the v ends of tri.edges.
+def _jacobian(cfg: Configuration, lay: _Layout) -> np.ndarray:
+    """Edge-angle derivatives in the free columns of `lay`, rows in the
+    order of tri.edges.
 
     The angle on edge (u, v) is arccos(I(u, v)), so each entry carries
-    the factor -1/sqrt(1 - I^2).
+    the factor -1/sqrt(1 - I^2); and dr/dx = sin r.
     """
     P, R = cfg.centers, cfg.radii
     cr, sr = np.cos(R), np.sin(R)
@@ -403,96 +415,69 @@ def _edge_blocks(cfg: Configuration, frames: np.ndarray):
     u, v = cfg.tri.edge_array.T
     denom = sr[u] * sr[v]
     cos_d = _rowdot(P[u], P[v])
+    frames = _chart_frames(P, lay)
+    J = np.zeros((cfg.tri.n_edges, lay.n_free))
     for end, other in ((u, v), (v, u)):
-        # position: dTheta/dt = (t . p_other) / (denom sqrt); radius:
-        # dTheta/dr_end = (cos r_other - C cos r_end) / (sin^2 r_end sin r_other sqrt)
+        # position: dTheta/dt = (t . p_other) / (denom sqrt); log radius:
+        # dTheta/dx_end = (cos r_other - C cos r_end) sin r_end
+        #                 / (sin^2 r_end sin r_other sqrt)
         # (float_power rounds sin^2 like libm pow; x * x sometimes differs)
         q = P[other]
-        yield end, np.column_stack([
+        d = np.column_stack([
             scale * _rowdot(frames[end, 0], q) / denom,
             scale * _rowdot(frames[end, 1], q) / denom,
             scale * (cr[other] - cos_d * cr[end])
-            / (np.float_power(sr[end], 2) * sr[other])])
-
-
-def jacobian(cfg: Configuration) -> np.ndarray:
-    """Analytic derivative of the edge angles in the free coordinates.
-
-    Rows follow tri.edges; columns follow the gauge layout (meridian angle
-    of b, tangent pairs, radii).
-    """
-    lay = _layout(cfg.tri.n_vertices, cfg.gauge_face)
-    P = cfg.centers
-    frames = _tangent_frames(P)
-    frames[lay.b, 0] = (-P[lay.b, 2], 0.0, P[lay.b, 0])   # meridian tangent
-    J = np.zeros((cfg.tri.n_edges, lay.n_free))
-    for end, d in _edge_blocks(cfg, frames):
+            / (np.float_power(sr[end], 2) * sr[other]) * sr[end]])
         cols = lay.col[end]
         row, k = np.nonzero(cols >= 0)
         J[row, cols[row, k]] = d[row, k]
     return J
 
 
-def apply_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
-    """Move the free coordinates by `delta`, staying exactly in gauge.
-
-    The updated radii are clamped just inside the feasibility box, letting
-    a descent step slide along the wall instead of being rejected outright.
-    """
-    lay = _layout(cfg.tri.n_vertices, cfg.gauge_face)
-    if delta.shape != (lay.n_free,):
-        raise ValueError(f"step has shape {delta.shape}, expected ({lay.n_free},)")
+def _step(cfg: Configuration, delta: np.ndarray, lay: _Layout) -> Configuration:
+    """Move the free centers along their frames and the free x = log tan(r/2)
+    by `delta`; fixed coordinates keep their bits."""
+    d = np.append(delta, 0.0)[lay.col]      # a fixed coordinate reads 0
     centers = cfg.centers.copy()
     radii = cfg.radii.copy()
 
-    phi = _meridian_angle(centers[lay.b]) + float(delta[0])
-    centers[lay.b] = _meridian_point(phi)
-
-    moved = lay.col[:, 1] >= 0
+    moved = lay.col[:, 0] >= 0
     P = cfg.centers[moved]
-    frames = _tangent_frames(P)
-    step = delta[lay.col[moved, :2]]
-    p = P + step[:, :1] * frames[:, 0] + step[:, 1:] * frames[:, 1]
+    frames = _chart_frames(cfg.centers, lay)[moved]
+    p = P + d[moved, :1] * frames[:, 0] + d[moved, 1:2] * frames[:, 1]
     centers[moved] = p / np.sqrt(_rowdot(p, p))[:, None]
 
     sized = lay.col[:, 2] >= 0
-    radii[sized] = np.clip(radii[sized] + delta[lay.col[sized, 2]],
-                           RADIUS_FLOOR + 1e-6, RADIUS_CEILING - 1e-6)
+    x = np.log(np.tan(0.5 * radii[sized])) + d[sized, 2]
+    with np.errstate(over="ignore"):     # r = pi, which _feasible rejects
+        radii[sized] = 2.0 * np.arctan(np.exp(x))
     return cfg.with_data(centers, radii)
 
 
-# ---------------------------------------------------------------------------
-# the chart of the cold starts: no gauge, log-radius coordinates
-# ---------------------------------------------------------------------------
-
-def _free_jacobian(cfg: Configuration) -> np.ndarray:
-    """Edge-angle derivatives in the gauge-free chart: columns 3w, 3w + 1
-    for the tangent pair of vertex w and 3w + 2 for x = log tan(r_w / 2).
-    Since dr/dx = sin r, the x column is the radius column times sin r."""
-    sr = np.sin(cfg.radii)
-    rows = np.arange(cfg.tri.n_edges)[:, None]
-    J = np.zeros((cfg.tri.n_edges, 3 * cfg.tri.n_vertices))
-    for end, d in _edge_blocks(cfg, _tangent_frames(cfg.centers)):
-        d[:, 2] *= sr[end]
-        J[rows, 3 * end[:, None] + np.arange(3)] = d
-    return J
+def _feasible(cfg: Configuration, lay: _Layout) -> bool:
+    """Every radius inside (0, pi), where x is finite; in a face gauge also
+    b strictly inside its meridian and c at y > 0."""
+    ok = np.all((cfg.radii > 0.0) & (cfg.radii < _PI))
+    if lay.gauge is not None:
+        _, b, c = lay.gauge
+        ok = ok and cfg.centers[b, 0] > 0.0 and cfg.centers[c, 1] > 0.0
+    return bool(ok)
 
 
-def _free_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
-    """Move every center along its tangent frame and every x = log tan(r/2)."""
-    d = delta.reshape(-1, 3)
-    P = cfg.centers
-    frames = _tangent_frames(P)
-    p = P + d[:, :1] * frames[:, 0] + d[:, 1:2] * frames[:, 1]
-    x = np.log(np.tan(0.5 * cfg.radii)) + d[:, 2]
-    with np.errstate(over="ignore"):     # r = pi, which _free_feasible rejects
-        radii = 2.0 * np.arctan(np.exp(x))
-    return cfg.with_data(p / np.sqrt(_rowdot(p, p))[:, None], radii)
+def jacobian(cfg: Configuration) -> np.ndarray:
+    """Analytic derivative of the edge angles in the face-gauge chart of
+    cfg.gauge_face: rows follow tri.edges, the 3n - 6 columns the gauge
+    layout (meridian tangent of b, tangent pairs, x = log tan(r/2))."""
+    return _jacobian(cfg, _layout(cfg.tri.n_vertices, cfg.gauge_face))
 
 
-def _free_feasible(cfg: Configuration) -> bool:
-    """Every radius inside (0, pi), where x is finite."""
-    return bool(np.all((cfg.radii > 0.0) & (cfg.radii < _PI)))
+def apply_step(cfg: Configuration, delta: np.ndarray) -> Configuration:
+    """Move the 3n - 6 free coordinates of the face gauge by `delta`,
+    staying exactly in gauge."""
+    lay = _layout(cfg.tri.n_vertices, cfg.gauge_face)
+    if delta.shape != (lay.n_free,):
+        raise ValueError(f"step has shape {delta.shape}, expected ({lay.n_free},)")
+    return _step(cfg, delta, lay)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +519,10 @@ def regauge(cfg: Configuration, gauge_face) -> Configuration:
     followed by the rigid normalization.  Overlap angles are preserved.
     """
     stored = _require_oriented_face(cfg.tri, gauge_face)
-    normals = np.array([cap_plane_normal(cfg.cap(v)) for v in stored])
-    boost = boost_to_center(common_orthogonal_point(normals))
-    centers = np.empty_like(cfg.centers)
-    radii = np.empty_like(cfg.radii)
-    for v in range(cfg.tri.n_vertices):
-        moved = plane_normal_cap(boost @ cap_plane_normal(cfg.cap(v)))
-        centers[v] = moved.center
-        radii[v] = moved.radius
+    normals = _plane_normals(cfg.centers, cfg.radii)
+    boost = boost_to_center(common_orthogonal_point(normals[list(stored)]))
+    # a stack of matrix-vector products rounds like `boost @ normal`
+    centers, radii = _normal_caps((boost @ normals[:, :, None])[:, :, 0])
     out = replace(cfg, centers=centers, radii=radii, gauge_face=stored)
     out = gauge_normalize(out)
     radii = out.radii.copy()
@@ -561,19 +542,6 @@ def _gate_state(cfg: Configuration) -> np.ndarray:
     return np.concatenate([
         face_excesses(cfg.centers, tri.face_array) <= 1e-12,
         inversive_matrix(cfg.centers, cfg.radii)[pu, pv] <= 1.0])
-
-
-def _hard_feasible(cfg: Configuration) -> bool:
-    """The face-gauge box: b strictly inside its meridian, c at y > 0 and
-    the non-gauge radii inside (RADIUS_FLOOR, RADIUS_CEILING)."""
-    lay = _layout(cfg.tri.n_vertices, cfg.gauge_face)
-    phi = _meridian_angle(cfg.centers[lay.b])
-    if not 1e-9 < phi < _PI - 1e-9:
-        return False
-    if cfg.centers[lay.c, 1] <= 0.0:
-        return False
-    r = cfg.radii[lay.col[:, 2] >= 0]
-    return not (np.any(r <= RADIUS_FLOOR) or np.any(r >= RADIUS_CEILING))
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +583,12 @@ def _repair_overlaps(cfg: Configuration) -> tuple[Configuration, int]:
 
 
 def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
-               jac, step, feasible
-               ) -> tuple[Configuration, bool, int, float, float]:
-    """Solve one target in the chart given by its Jacobian `jac(cfg)`, its
-    step `step(cfg, delta)` and its hard-feasibility test `feasible(cfg)`.
-    Returns (cfg, converged, iterations, damping, last_step_norm).
+               lay: _Layout) -> tuple[Configuration, bool, int, float, float]:
+    """Solve one target in the chart `lay`.  Returns (cfg, converged,
+    iterations, damping, last_step_norm).
 
-    A trial is accepted when it is hard-feasible, adds no soft violation
-    to those of the current iterate and lowers the cost.
+    A trial is accepted when it is feasible, adds no soft violation to
+    those of the current iterate and lowers the cost.
     """
     lam = INITIAL_DAMPING
     r = _residual_or_none(cfg, target)
@@ -634,7 +600,7 @@ def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
     for it in range(1, MAX_ITERATIONS + 1):
         if float(np.max(np.abs(r))) < tolerance:
             return cfg, True, it - 1, lam, step_norm
-        J = jac(cfg)
+        J = _jacobian(cfg, lay)
         g = J.T @ r
         JtJ = J.T @ J
         diag = np.diag(JtJ).copy()
@@ -646,8 +612,8 @@ def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
             except np.linalg.LinAlgError:
                 lam *= DAMPING_GROW
                 continue
-            trial = step(cfg, delta)
-            if feasible(trial):
+            trial = _step(cfg, delta, lay)
+            if _feasible(trial, lay):
                 trial_state = _gate_state(trial)
                 r_trial = (None if (trial_state & ~state).any()
                            else _residual_or_none(trial, target))
@@ -706,19 +672,19 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
 
     requested = _require_oriented_face(tri, gauge_face or tri.faces[0])
     target = np.array([theta[e] for e in tri.edges])
+    free = _layout(tri.n_vertices, None)
+    gauged = _layout(tri.n_vertices, requested)
     total_iters = 0
     repairs_seen = []
     for start, repairs in _cold_starts(tri, requested, opts.fallback_gauges):
         repairs_seen.append(repairs)
         cfg, ok, iters, lam, step_norm = _levenberg(
-            start, target, opts.tolerance,
-            _free_jacobian, _free_step, _free_feasible)
+            start, target, opts.tolerance, free)
         total_iters += iters
         if not ok:
             continue
         out, ok, polish, _, _ = _levenberg(
-            regauge(cfg, requested), target, opts.tolerance,
-            jacobian, apply_step, _hard_feasible)
+            regauge(cfg, requested), target, opts.tolerance, gauged)
         total_iters += polish
         if ok and radii_bounds(tri, out).ok and not _gate_state(out).any():
             rinf = _residual_inf(out, target)

@@ -502,6 +502,39 @@ def plane_normal_cap(n) -> Cap:
     return Cap(n[:3] / m, math.acos(min(1.0, max(-1.0, n[3] / m))))
 
 
+def _minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """minkowski_dot along the last axis, rounded like the scalar call."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+
+
+def _plane_normals(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """cap_plane_normal of every cap, one row per cap; the first cap that
+    Cap rejects raises its DegenerateCap."""
+    unit, valid = _unit_caps(centers, radii)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        Cap(centers[bad], float(radii[bad]))
+    sin = _elementwise(math.sin, radii)
+    return np.column_stack([unit / sin[:, None],
+                            _elementwise(math.cos, radii) / sin])
+
+
+def _normal_caps(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """plane_normal_cap of every row, as (centers, radii); the first row
+    it rejects raises what plane_normal_cap raises for it."""
+    norm2 = _minkowski_rows(normals, normals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = normals / np.sqrt(norm2)[:, None]
+        m = np.sqrt(_rowdot(n[:, :3], n[:, :3]))
+        radii = _elementwise(_clamped_acos, n[:, 3] / m)
+        centers, valid = _unit_caps(n[:, :3] / m[:, None], radii)
+    bad = ~(norm2 > 0.0) | ~valid
+    if bad.any():
+        plane_normal_cap(normals[int(np.argmax(bad))])
+    return centers, radii
+
+
 def common_orthogonal_point(normals) -> np.ndarray:
     """The point of the hyperbolic ball lying on three given planes.
 

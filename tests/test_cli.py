@@ -160,6 +160,19 @@ class TestSolve:
         assert set(manifest["timings_sec"]) == {"solve", "verify"}
 
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_unusable_tolerance_is_a_parse_error(self, cli_ws, tmp_path,
+                                                 tol, capsys):
+        out_path = tmp_path / "never.json"
+        code = cli.main(["solve", str(cli_ws["complex"]),
+                         str(cli_ws["angles"]), "--out", str(out_path),
+                         f"--tol={tol}"])
+        assert code == cli.EXIT_PARSE
+        assert not out_path.exists()
+        assert "--tol: tolerance must be positive and finite" in (
+            capsys.readouterr().err)
+
+
 class TestVerify:
     def test_solved_pattern_verifies(self, cli_ws, capsys):
         code = cli.main(["verify", str(cli_ws["complex"]),
@@ -273,6 +286,29 @@ class TestRender:
         assert text.count("<line") == 12
         assert a.read_bytes() == b.read_bytes()
         assert "6 circles, 12 contact edges" in capsys.readouterr().out
+
+
+class TestNonFiniteRadius:
+    """Python's JSON reader accepts NaN and Infinity; the pattern reader
+    turns them down before any geometry runs."""
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["polyhedron", "render", "verify"])
+    def test_is_a_parse_error(self, cli_ws, tmp_path, command, value,
+                              capsys):
+        text = cli_ws["pattern"].read_text()
+        data = json.loads(text)
+        data["radii"][4] = "RADIUS"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"RADIUS"', value))
+        argv = [command, str(cli_ws["complex"]), str(bad)]
+        if command == "polyhedron":
+            argv.append(str(cli_ws["angles"]))
+        if command != "verify":
+            argv += ["--out", str(tmp_path / "never")]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert not (tmp_path / "never").exists()
+        assert "'radii' must list 6 finite numbers" in capsys.readouterr().err
 
 
 class TestDegenerate:

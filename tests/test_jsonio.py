@@ -158,6 +158,43 @@ class TestPattern:
             load_pattern(path, oct_tri)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("radii", float("nan")), ("radii", float("inf")),
+        ("radii", -float("inf")), ("radii", True), ("radii", 10 ** 400),
+        ("centers", float("nan")), ("centers", float("inf")),
+        ("centers", False),
+    ], ids=["nan-radius", "inf-radius", "neg-inf-radius", "bool-radius",
+            "huge-radius", "nan-center", "inf-center", "bool-center"])
+    def test_non_finite_entries_rejected(self, oct_tri, solved_oct, tmp_path,
+                                         key, value):
+        # Python's reader accepts NaN and Infinity, and bool is an int
+        cfg, theta = solved_oct
+        from katsphere.solver import solve
+        _, rep = solve(oct_tri, theta)
+        data = json.loads(dump_pattern(cfg, rep, theta))
+        if key == "radii":
+            data["radii"][4] = value
+        else:
+            data["centers"][4][1] = value
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"'?{key}"):
+            load_pattern(path, oct_tri)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_target_angle_rejected(self, oct_tri, solved_oct,
+                                              tmp_path, value):
+        cfg, theta = solved_oct
+        from katsphere.solver import solve
+        _, rep = solve(oct_tri, theta)
+        data = json.loads(dump_pattern(cfg, rep, theta))
+        data["report"]["target_angles"][0]["theta"] = value
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="theta must be a number"):
+            load_pattern(path, oct_tri)
+
+
 class TestReportSerialization:
     def test_verification_report_is_valid_json(self, oct_tri, solved_oct):
         cfg, theta = solved_oct

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import katsphere.polyhedron
+import katsphere.sphere
 from katsphere.angles import AngleAssignment
 from katsphere.catalog import bipyramid, icosahedron
 from katsphere.errors import (
@@ -485,4 +486,5 @@ class TestArrayPassOracles:
                         np.arange(6) == 4, math.pi, sym.radii))):
             want = outcome(oracle_normals, oct_tri, cfg)
             assert want[0] is DegenerateCap
-            assert outcome(katsphere.polyhedron._plane_normals, cfg) == want
+            assert outcome(katsphere.sphere._plane_normals, cfg.centers,
+                           cfg.radii) == want

@@ -10,6 +10,7 @@ the gauge planes pass through the ball center).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,16 +18,21 @@ import pytest
 from katsphere import solver
 from katsphere.angles import AngleAssignment, check_admissible
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
-from katsphere.errors import ConditionsViolated, EdgeNotOverlapping, NotAFace
+from katsphere.errors import (
+    ConditionsViolated,
+    DegenerateCap,
+    EdgeNotOverlapping,
+    NotAFace,
+    PreconditionViolated,
+)
 from katsphere.solver import (
     CENTERING_TOL,
-    RADIUS_CEILING,
-    RADIUS_FLOOR,
     Configuration,
     SolveOptions,
-    _free_jacobian,
-    _free_step,
     _gate_state,
+    _jacobian,
+    _layout,
+    _step,
     _tutte_start,
     apply_step,
     gauge_normalize,
@@ -39,6 +45,7 @@ from katsphere.solver import (
 )
 from katsphere.sphere import (
     Cap,
+    _normal_caps,
     boost_to_center,
     cap_plane_normal,
     common_orthogonal_point,
@@ -229,7 +236,8 @@ class TestApplyStep:
 
 
 # ---------------------------------------------------------------------------
-# scalar oracles of the gauge chart: per-vertex, per-edge and per-face loops
+# scalar oracles of the gauge chart, in x = log tan(r/2): per-vertex,
+# per-edge and per-face loops
 # ---------------------------------------------------------------------------
 
 def oracle_layout(tri, gauge):
@@ -252,6 +260,10 @@ def oracle_tangent_basis(p):
     return e1, np.cross(p, e1)
 
 
+def oracle_meridian_tangent(p):
+    return np.array([-p[2], 0.0, p[0]])
+
+
 def oracle_jacobian(cfg):
     tri = cfg.tri
     b = cfg.gauge_face[1]
@@ -265,13 +277,13 @@ def oracle_jacobian(cfg):
         / (sr[eu] * sr[ev])
     scale = 1.0 / np.sqrt(np.maximum(1.0 - inv * inv, 1e-30))
     bases = {v: oracle_tangent_basis(P[v]) for v in tangent}
-    t_b = np.array([-P[b][2], 0.0, P[b][0]])
     J = np.zeros((tri.n_edges, 3 * tri.n_vertices - 6))
     for row, (u, v) in enumerate(tri.edges):
         s = scale[row]
         denom = sr[u] * sr[v]
         for end, other in ((u, v), (v, u)):
             if end == b:
+                t_b = oracle_meridian_tangent(P[b])
                 J[row, 0] = s * float(t_b @ P[other]) / denom
             elif end in bases:
                 e1, e2 = bases[end]
@@ -279,9 +291,11 @@ def oracle_jacobian(cfg):
                 J[row, col] = s * float(e1 @ P[other]) / denom
                 J[row, col + 1] = s * float(e2 @ P[other]) / denom
             if end in radius_col:
+                # dTheta/dx = dTheta/dr * dr/dx with dr/dx = sin r
                 C = float(P[end] @ P[other])
                 J[row, radius_col[end]] = (
-                    s * (cr[other] - C * cr[end]) / (sr[end] ** 2 * sr[other]))
+                    s * (cr[other] - C * cr[end]) / (sr[end] ** 2 * sr[other])
+                    * sr[end])
     return J
 
 
@@ -291,17 +305,16 @@ def oracle_apply_step(cfg, delta):
         cfg.tri, cfg.gauge_face)
     centers = cfg.centers.copy()
     radii = cfg.radii.copy()
-    phi = math.atan2(float(centers[b][0]), -float(centers[b][2])) \
-        + float(delta[0])
-    centers[b] = np.array([math.sin(phi), 0.0, -math.cos(phi)])
+    p = cfg.centers[b] + delta[0] * oracle_meridian_tangent(cfg.centers[b])
+    centers[b] = p / np.linalg.norm(p)
     for v in tangent:
         e1, e2 = oracle_tangent_basis(cfg.centers[v])
         col = tangent_col[v]
         p = cfg.centers[v] + delta[col] * e1 + delta[col + 1] * e2
         centers[v] = p / np.linalg.norm(p)
     for v in radius:
-        r = radii[v] + float(delta[radius_col[v]])
-        radii[v] = min(max(r, RADIUS_FLOOR + 1e-6), RADIUS_CEILING - 1e-6)
+        x = np.log(np.tan(0.5 * radii[v])) + delta[radius_col[v]]
+        radii[v] = 2.0 * np.arctan(np.exp(x))
     return cfg.with_data(centers, radii)
 
 
@@ -313,8 +326,8 @@ def oracle_flipped(cfg):
 
 
 def _chart_samples(cfg, rng):
-    """The configuration itself and random steps away from it: small ones,
-    large ones that flip faces, and ones pushing radii past the box."""
+    """The configuration itself and random steps away from it: small ones
+    and large ones that flip faces."""
     out = [cfg]
     n_free = 3 * cfg.tri.n_vertices - 6
     for size in (1e-3, 0.05, 0.6):
@@ -368,15 +381,6 @@ class TestChartOracles:
                     want = oracle_apply_step(sample, delta)
                     assert np.array_equal(got.centers, want.centers), (name, k)
                     assert np.array_equal(got.radii, want.radii), (name, k)
-
-    def test_wild_steps_leave_the_box(self, chart_cases):
-        cfg = chart_cases[0][1]
-        last = np.delete(np.arange(cfg.tri.n_vertices), cfg.gauge_face)[-3:]
-        delta = np.zeros(3 * cfg.tri.n_vertices - 6)
-        delta[-3:] = (4.0, -4.0, 0.0)
-        clipped = apply_step(cfg, delta).radii[last]
-        assert clipped[0] == RADIUS_CEILING - 1e-6
-        assert clipped[1] == RADIUS_FLOOR + 1e-6
 
     def test_flipped_faces_match_oracle(self, chart_cases):
         rng = np.random.default_rng(43)
@@ -652,6 +656,23 @@ def test_failure_names_the_stage(oct_tri, monkeypatch):
     assert rep.failure_reason == "no_start_converged"
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"tolerance": 0.0}, {"tolerance": -1e-10}, {"tolerance": math.nan},
+        {"tolerance": math.inf}, {"fallback_gauges": -1}])
+    def test_unusable_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SolveOptions(**kwargs)
+
+    def test_no_fallback_faces_still_reports_a_failure(self):
+        # the octant start in the requested face always runs, so the
+        # failure report has its repairs to quote
+        tri, theta = _constant(bipyramid(10), UNIFORM)
+        _, rep = solve(tri, theta, options=SolveOptions(fallback_gauges=0))
+        assert (rep.converged, rep.repairs, rep.failure_reason) == (
+            False, 80, "cold_start_infeasible")
+
+
 class TestDirectLeg:
     """The gauge-free chart, its cold starts, and their answers."""
 
@@ -670,22 +691,23 @@ class TestDirectLeg:
     def test_free_jacobian_matches_finite_differences(self, solved, request):
         cfg, theta = request.getfixturevalue(solved)
         n_cols = 3 * cfg.tri.n_vertices
+        free = _layout(cfg.tri.n_vertices, None)
         rng = np.random.default_rng(61)
         h = 1e-6
         checked = 0
         for _ in range(1000):
-            cand = _free_step(cfg, rng.uniform(-0.15, 0.15, n_cols))
+            cand = _step(cfg, rng.uniform(-0.15, 0.15, n_cols), free)
             if not all(abs(inversive_distance(cand.cap(u), cand.cap(v)))
                        < 0.999 for u, v in cfg.tri.edges):
                 continue
-            J = _free_jacobian(cand)
+            J = _jacobian(cand, free)
             assert J.shape == (cfg.tri.n_edges, n_cols)
             fd = np.empty_like(J)
             for col in range(n_cols):
                 step = np.zeros(n_cols)
                 step[col] = h
-                fd[:, col] = (residual(_free_step(cand, step), theta)
-                              - residual(_free_step(cand, -step), theta)) / (2 * h)
+                fd[:, col] = (residual(_step(cand, step, free), theta)
+                              - residual(_step(cand, -step, free), theta)) / (2 * h)
             assert np.abs(J - fd).max() / max(1.0, np.abs(J).max()) <= 1e-5
             checked += 1
             if checked == 20:
@@ -760,3 +782,84 @@ class TestRegauge:
         again = regauge(cfg, cfg.gauge_face)
         assert np.allclose(again.centers, cfg.centers, atol=1e-9)
         assert np.allclose(again.radii, cfg.radii, atol=1e-9)
+
+
+def oracle_regauge(cfg, face):
+    """regauge as a per-vertex loop through Cap objects; `face` as stored."""
+    normals = np.array([cap_plane_normal(cfg.cap(v)) for v in face])
+    boost = boost_to_center(common_orthogonal_point(normals))
+    centers = np.empty_like(cfg.centers)
+    radii = np.empty_like(cfg.radii)
+    for v in range(cfg.tri.n_vertices):
+        moved = plane_normal_cap(boost @ cap_plane_normal(cfg.cap(v)))
+        centers[v] = moved.center
+        radii[v] = moved.radius
+    out = gauge_normalize(replace(cfg, centers=centers, radii=radii,
+                                  gauge_face=face))
+    radii = out.radii.copy()
+    radii[list(face)] = math.pi / 2
+    return out.with_data(out.centers, radii)
+
+
+def _pattern(cfg):
+    return cfg.centers, cfg.radii
+
+
+def outcome(fn, *args):
+    """The bytes of what fn returns, or the type and message it raises."""
+    try:
+        return b"".join(a.tobytes() for a in fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRegaugeOracle:
+    """regauge's array pass equals the per-vertex loop bit for bit."""
+
+    def test_every_face_matches_the_loop(self, chart_cases):
+        rng = np.random.default_rng(45)
+        kinds = set()
+        for name, cfg in chart_cases:
+            nudged = oracle_apply_step(
+                cfg, 0.01 * rng.standard_normal(3 * cfg.tri.n_vertices - 6))
+            for sample in (cfg, nudged):
+                for face in sample.tri.faces:
+                    want = outcome(lambda: _pattern(oracle_regauge(sample, face)))
+                    got = outcome(lambda: _pattern(regauge(sample, face)))
+                    assert got == want, (name, face)
+                    kinds.add(want[0] if isinstance(want, tuple) else bytes)
+        # some faces of the realized geodesic pattern have gauge planes
+        # that do not meet in the ball
+        assert kinds == {bytes, PreconditionViolated}
+
+    def test_degenerate_cap_raises_like_the_loop(self, solved_oct):
+        cfg = solved_oct[0]
+        face = cfg.tri.faces[-1]
+        for v, radius in ((4, 0.0), (3, math.pi)):
+            radii = cfg.radii.copy()
+            radii[v] = radius
+            bad = cfg.with_data(cfg.centers, radii)
+            want = outcome(lambda: _pattern(oracle_regauge(bad, face)))
+            assert want[0] is DegenerateCap
+            assert outcome(lambda: _pattern(regauge(bad, face))) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_normal_caps_match_plane_normal_cap(self):
+        # spacelike, timelike and lightlike rows, and rows whose caps
+        # come out degenerate (NaN, or overflowing the Minkowski norm)
+        rng = np.random.default_rng(46)
+        odd = [(0.0, 0.0, 1.0, 1.0), (math.nan, 0.0, 0.0, 0.0),
+               (1e200, 0.0, 0.0, 0.0)]
+        kinds = set()
+        for _ in range(200):
+            normals = rng.standard_normal((6, 4))
+            normals[:, 3] *= rng.choice([0.1, 1.0, 3.0])
+            if rng.random() < 0.3:
+                normals[int(rng.integers(6))] = odd[int(rng.integers(3))]
+            want = outcome(lambda: tuple(
+                np.array(x) for x in zip(*(
+                    (c.center, c.radius)
+                    for c in map(plane_normal_cap, normals)))))
+            assert outcome(_normal_caps, normals) == want
+            kinds.add(want[0] if isinstance(want, tuple) else bytes)
+        assert kinds == {bytes, DegenerateCap, PreconditionViolated}
