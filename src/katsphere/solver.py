@@ -31,19 +31,20 @@ damping then absorbs the six-dimensional Moebius null space, so each cold
 start of `solve` aims straight at the prescribed angles.  The starts are
 tried in order, each built only when the one before it missed:
 
-1. a Tutte embedding with the requested gauge face as the outer
-   triangle, lifted to the sphere and centered by Moebius boosts;
-2. the octant start of `initial_configuration` with its overlaps
-   repaired, in the requested face and then in up to
-   `SolveOptions.fallback_gauges` other faces.
+1. punctured Tutte starts: Tutte's barycentric embedding with one vertex
+   w at infinity, lifted to the sphere by inverse stereographic
+   projection and centered by Moebius boosts, at each of the
+   1 + `SolveOptions.fallback_gauges` vertices of highest degree;
+2. the reference leg, when uniform angles of 2 pi / 5 are admissible:
+   the first punctured start solved for those angles, and their pattern
+   aimed at the target.  It reaches the obtuse bipyramids on which every
+   punctured start stalls.
 
-The octant start stays because the Tutte start does not reach every
-input: on the uniform bipyramid(9) it stalls with overlapping
-non-adjacent caps, while the octant start converges.  Every start ends
-in one finish: its answer is moved into the requested face gauge by
-`regauge`, polished there in the same chart with the gauge's columns
-fixed, and accepted only with radii in bounds and no flipped face or
-overlapping non-adjacent pair.  The first answer to pass wins.
+Every start ends in one finish: its answer is moved into the requested
+face gauge by `regauge`, polished there in the same chart with the
+gauge's columns fixed, and accepted only with radii in bounds and no
+flipped face or overlapping non-adjacent pair.  The first answer to pass
+wins.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ from .verify import radii_bounds, separation_margin
 
 _PI = math.pi
 
-RADIUS_FLOOR = 1e-6
-RADIUS_CEILING = _PI - 0.01
 _GAUGE_RADIUS = _PI / 2
 
 # Levenberg-Marquardt damping
@@ -86,9 +85,9 @@ INITIAL_DAMPING = 1e-3
 DAMPING_GROW = 10.0
 DAMPING_SHRINK = 3.0
 DAMPING_MAX = 1e10
-REPAIR_ATTEMPTS = 80
 
-# the Tutte cold start
+# the punctured Tutte starts
+REFERENCE_ANGLE = 2.0 * _PI / 5.0   # uniform angles of the reference leg
 TUTTE_RADIUS = 0.55        # start radius per longest incident edge
 CENTERING_STEPS = 100      # Moebius boosts tried to center the start
 CENTERING_TOL = 1e-6       # centroid distance from the origin that suffices
@@ -141,7 +140,7 @@ class SolveReport:
 @dataclass(frozen=True)
 class SolveOptions:
     tolerance: float = 1e-10
-    fallback_gauges: int = 6     # other faces given an octant start
+    fallback_gauges: int = 6     # punctured starts after the first
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
@@ -318,43 +317,57 @@ def _harmonic(tri: Triangulation, fixed, anchor) -> tuple[list[int], np.ndarray]
     return free, np.linalg.solve(mat, rhs)
 
 
-def _tutte_start(tri: Triangulation, gauge: tuple[int, int, int]
-                 ) -> Configuration:
-    """The first cold start of `solve`, in no gauge.
+def _punctured_start(tri: Triangulation, w: int) -> Configuration:
+    """A cold start of `solve`, in no gauge: Tutte's barycentric
+    embedding with w at infinity.
 
-    Tutte's barycentric embedding with `gauge` as the outer triangle
-    draws every face as a convex triangle.  Inverse stereographic
-    projection lifts it to the sphere, and Lorentz boosts that move the
-    centroid of the centers to the ball center spread the vertices out
-    (Moebius centering).  Each radius is TUTTE_RADIUS times the longest
-    edge at its vertex.  `gauge` is recorded but not imposed.
+    w's link sits on the unit circle, clockwise in rotation order, and
+    every other vertex at the mean of its neighbors, so every face away
+    from w is a convex triangle.  Inverse stereographic projection lifts
+    the drawing to the sphere with w at the north pole, and Lorentz
+    boosts that move the centroid of the centers to the ball center
+    spread the vertices out (Moebius centering).  If fewer than half of
+    the lifted faces turn like the face gauge (positive face_excesses),
+    the link is laid out counterclockwise instead.  Each radius is
+    TUTTE_RADIUS times the longest edge at its vertex.
     """
-    n = tri.n_vertices
-    # clockwise in the plane, so that the lifted faces turn like the
-    # face gauge's (positive face_excesses)
-    corners = {v: np.array([math.cos(t), math.sin(t)])
-               for v, t in zip(gauge, (0.0, -2.0 * _PI / 3.0, 2.0 * _PI / 3.0))}
-    free, plane = _harmonic(tri, gauge, lambda v, u: corners[u])
-    xy = np.empty((n, 2))
-    xy[free] = plane
-    xy[list(gauge)] = [corners[v] for v in gauge]
-    q = _rowdot(xy, xy)
-    P = np.column_stack([2.0 * xy, q - 1.0]) / (q + 1.0)[:, None]
+    link = tri.neighbors[w]
+    for turn in (-1.0, 1.0):
+        angle = turn * 2.0 * _PI * np.arange(len(link)) / len(link)
+        ring = np.column_stack([np.cos(angle), np.sin(angle)])
+        circle = dict(zip(link, ring))
+        free, plane = _harmonic(tri, {w, *link}, lambda v, u: circle[u])
+        xy = np.zeros((tri.n_vertices, 2))
+        xy[free] = plane
+        xy[list(link)] = ring
+        q = _rowdot(xy, xy)
+        P = np.column_stack([2.0 * xy, q - 1.0]) / (q + 1.0)[:, None]
+        P[w] = (0.0, 0.0, 1.0)
+        P = _moebius_center(P)
+        if 2 * np.count_nonzero(face_excesses(P, tri.face_array) > 0.0) \
+                >= tri.n_faces:
+            break
+
+    u, v = tri.edge_array.T
+    length = np.arccos(np.clip(_rowdot(P[u], P[v]), -1.0, 1.0))
+    longest = np.zeros(tri.n_vertices)
+    np.maximum.at(longest, u, length)
+    np.maximum.at(longest, v, length)
+    return Configuration(tri, P, TUTTE_RADIUS * longest, tri.faces[0])
+
+
+def _moebius_center(P: np.ndarray) -> np.ndarray:
+    """Unit rows P moved by Lorentz boosts until their centroid is within
+    CENTERING_TOL of the ball center (at most CENTERING_STEPS boosts)."""
     for _ in range(CENTERING_STEPS):
         m = P.mean(axis=0)
         m2 = float(m @ m)
         if m2 < CENTERING_TOL ** 2:
             break
         boost = boost_to_center(np.append(m, 1.0) / math.sqrt(1.0 - m2))
-        w = np.column_stack([P, np.ones(n)]) @ boost.T
+        w = np.column_stack([P, np.ones(len(P))]) @ boost.T
         P = w[:, :3] / np.sqrt(_rowdot(w[:, :3], w[:, :3]))[:, None]
-
-    u, v = tri.edge_array.T
-    length = np.arccos(np.clip(_rowdot(P[u], P[v]), -1.0, 1.0))
-    longest = np.zeros(n)
-    np.maximum.at(longest, u, length)
-    np.maximum.at(longest, v, length)
-    return Configuration(tri, P, TUTTE_RADIUS * longest, gauge)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +375,20 @@ def _tutte_start(tri: Triangulation, gauge: tuple[int, int, int]
 # ---------------------------------------------------------------------------
 
 def _inversive_all(cfg: Configuration) -> np.ndarray:
-    """Inversive distance per edge, in the order of tri.edges."""
+    """Inversive distance per edge, in the order of tri.edges.
+
+    With unit centers p, q and a = sin^2(r/2), the numerator
+    cos r_u cos r_v - p.q equals |p - q|^2 / 2 - 2 (a_u + a_v) + 4 a_u a_v,
+    whose terms are all of the order of the radii squared: nothing
+    cancels at O(1) when the caps are small.
+    """
     u, v = cfg.tri.edge_array.T
-    cr = np.cos(cfg.radii)
+    P = cfg.centers / np.sqrt(_rowdot(cfg.centers, cfg.centers))[:, None]
+    a = np.sin(0.5 * cfg.radii) ** 2
     sr = np.sin(cfg.radii)
-    dots = np.einsum("ij,ij->i", cfg.centers[u], cfg.centers[v])
-    return (cr[u] * cr[v] - dots) / (sr[u] * sr[v])
+    diff = P[u] - P[v]
+    num = 0.5 * _rowdot(diff, diff) - 2.0 * (a[u] + a[v]) + 4.0 * a[u] * a[v]
+    return num / (sr[u] * sr[v])
 
 
 def _edge_angles(cfg: Configuration) -> np.ndarray:
@@ -545,42 +566,8 @@ def _gate_state(cfg: Configuration) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# repair and the inner Levenberg-Marquardt loop
+# the inner Levenberg-Marquardt loop
 # ---------------------------------------------------------------------------
-
-def _repair_overlaps(cfg: Configuration) -> tuple[Configuration, int]:
-    """Nudge radii until every edge pair genuinely crosses.
-
-    Edges with inversive distance at or above 1 (boundaries separated) get
-    both radii grown.  Engulfing pairs (at or below -1) get the smaller
-    radius grown until its boundary pokes out of the bigger cap.  Gauge
-    radii stay fixed, so repairs act on the free radii only.
-    """
-    tri = cfg.tri
-    gauge = set(cfg.gauge_face)
-    radii = cfg.radii.copy()
-    repairs = 0
-    for _ in range(REPAIR_ATTEMPTS):
-        work = cfg.with_data(cfg.centers, radii)
-        inv = _inversive_all(work)
-        lost = np.nonzero(inv >= 1.0 - 1e-3)[0]
-        engulfed = np.nonzero(inv <= -1.0 + 1e-3)[0]
-        if lost.size == 0 and engulfed.size == 0:
-            break
-        repairs += 1
-        for i in lost:
-            for v in tri.edges[int(i)]:
-                if v not in gauge:
-                    radii[v] = min(radii[v] * 1.1, RADIUS_CEILING - 1e-3)
-        for i in engulfed:
-            u, v = tri.edges[int(i)]
-            small, big = (u, v) if radii[u] <= radii[v] else (v, u)
-            if small not in gauge:
-                radii[small] = min(radii[small] * 1.15, RADIUS_CEILING - 1e-3)
-            elif big not in gauge:
-                radii[big] = max(radii[big] * 0.9, RADIUS_FLOOR + 1e-3)
-    return cfg.with_data(cfg.centers, radii), repairs
-
 
 def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
                lay: _Layout) -> tuple[Configuration, bool, int, float, float]:
@@ -635,15 +622,23 @@ def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
 # public solve
 # ---------------------------------------------------------------------------
 
-def _cold_starts(tri: Triangulation, gauge: tuple[int, int, int],
-                 fallback_gauges: int):
-    """Yield (start, repairs) in the order `solve` tries them: the Tutte
-    start, then the repaired octant start in `gauge` and in the first
-    `fallback_gauges` other faces.  Each is built only when asked for."""
-    yield _tutte_start(tri, gauge), 0
-    faces = [gauge] + [f for f in tri.faces if f != gauge]
-    for face in faces[:1 + fallback_gauges]:
-        yield _repair_overlaps(initial_configuration(tri, face))
+def _cold_starts(tri: Triangulation, fallback_gauges: int):
+    """Yield (start, via) in the order `solve` tries them; `via` lists the
+    angle arrays to solve for, from `start`, before the target.
+
+    First come the punctured starts at the 1 + `fallback_gauges` vertices
+    of highest degree (ties to the lower index), aimed straight at the
+    target.  Last, if uniform angles of 2 pi / 5 are admissible, the
+    reference leg: the first punctured start, aimed at the uniform
+    angles and from their pattern at the target.  Each start is built
+    only when asked for.
+    """
+    order = sorted(range(tri.n_vertices), key=lambda v: (-tri.degree(v), v))
+    for w in order[:1 + fallback_gauges]:
+        yield _punctured_start(tri, w), ()
+    if check_admissible(tri, AngleAssignment.constant(tri, REFERENCE_ANGLE)).ok:
+        reference = np.full(tri.n_edges, REFERENCE_ANGLE)
+        yield _punctured_start(tri, order[0]), (reference,)
 
 
 def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
@@ -656,14 +651,15 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
     SolveReport.converged = False with a failure reason, never by an
     exception.
 
-    The cold starts and their shared finish are described in the module
-    docstring.  The finish turns down a pattern with a flipped face or
-    overlapping non-adjacent caps: it has the right angles but is not the
-    embedded one.  A solved report holds one record at s = 1 with the
-    winning start's iterations and repairs; `iterations` sums all starts.
-    A failure reads `cold_start_infeasible` when no Levenberg-Marquardt
-    iteration ran in any start and `no_start_converged` otherwise, and
-    reports the repairs of the octant start in the requested face.
+    The cold starts (punctured Tutte starts, then the reference leg) and
+    their shared finish are described in the module docstring.  The
+    finish turns down a pattern with a flipped face or overlapping
+    non-adjacent caps: it has the right angles but is not the embedded
+    one.  A solved report holds one record at s = 1 with the winning
+    start's iterations (its reference leg's and polish's included);
+    `iterations` sums all starts.  A failure reads
+    `cold_start_infeasible` when no Levenberg-Marquardt iteration ran in
+    any start and `no_start_converged` otherwise.  `repairs` is always 0.
     """
     opts = options or SolveOptions()
     report = check_admissible(tri, theta)
@@ -675,11 +671,14 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
     free = _layout(tri.n_vertices, None)
     gauged = _layout(tri.n_vertices, requested)
     total_iters = 0
-    repairs_seen = []
-    for start, repairs in _cold_starts(tri, requested, opts.fallback_gauges):
-        repairs_seen.append(repairs)
-        cfg, ok, iters, lam, step_norm = _levenberg(
-            start, target, opts.tolerance, free)
+    for cfg, via in _cold_starts(tri, opts.fallback_gauges):
+        iters = 0
+        for aim in (*via, target):
+            cfg, ok, run, lam, step_norm = _levenberg(
+                cfg, aim, opts.tolerance, free)
+            iters += run
+            if not ok:
+                break
         total_iters += iters
         if not ok:
             continue
@@ -691,11 +690,11 @@ def solve(tri: Triangulation, theta: AngleAssignment, gauge_face=None,
             record = _record(out, iters + polish, lam, step_norm, rinf)
             return out, SolveReport(
                 converged=True, residual_inf=rinf, iterations=total_iters,
-                targets=(record,), repairs=repairs)
+                targets=(record,), repairs=0)
 
     return cfg, SolveReport(
         converged=False, residual_inf=_residual_inf(cfg, target),
-        iterations=total_iters, targets=(), repairs=repairs_seen[1],
+        iterations=total_iters, targets=(), repairs=0,
         failure_reason=("no_start_converged" if total_iters
                         else "cold_start_infeasible"))
 

@@ -18,6 +18,7 @@ import pytest
 from katsphere import solver
 from katsphere.angles import AngleAssignment, check_admissible
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
+from katsphere.complexes import Triangulation
 from katsphere.errors import (
     ConditionsViolated,
     DegenerateCap,
@@ -32,8 +33,8 @@ from katsphere.solver import (
     _gate_state,
     _jacobian,
     _layout,
+    _punctured_start,
     _step,
-    _tutte_start,
     apply_step,
     gauge_normalize,
     initial_configuration,
@@ -55,7 +56,10 @@ from katsphere.sphere import (
     plane_normal_cap,
     signed_excess,
 )
-from katsphere.verify import verify_pattern
+from katsphere.polyhedron import build_polyhedron
+from katsphere.verify import ANGLE_TOL, verify_pattern
+
+from conftest import greedy_obtuse
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 
@@ -271,10 +275,15 @@ def oracle_jacobian(cfg):
         tri, cfg.gauge_face)
     P, R = cfg.centers, cfg.radii
     cr, sr = np.cos(R), np.sin(R)
-    # the solver's edge-wise inversive distances (einsum dot products)
-    eu, ev = np.asarray(tri.edges).T
-    inv = (cr[eu] * cr[ev] - np.einsum("ij,ij->i", P[eu], P[ev])) \
-        / (sr[eu] * sr[ev])
+    # the solver's edge-wise inversive distances: unit centers and
+    # a = sin^2(r/2), numerator |p - q|^2 / 2 - 2 (a_u + a_v) + 4 a_u a_v
+    unit = P / np.sqrt([float(p @ p) for p in P])[:, None]
+    a = np.sin(0.5 * R) ** 2
+    inv = np.empty(tri.n_edges)
+    for row, (u, v) in enumerate(tri.edges):
+        d = unit[u] - unit[v]
+        inv[row] = (0.5 * float(d @ d) - 2.0 * (a[u] + a[v])
+                    + 4.0 * a[u] * a[v]) / (sr[u] * sr[v])
     scale = 1.0 / np.sqrt(np.maximum(1.0 - inv * inv, 1e-30))
     bases = {v: oracle_tangent_basis(P[v]) for v in tangent}
     J = np.zeros((tri.n_edges, 3 * tri.n_vertices - 6))
@@ -395,6 +404,39 @@ class TestChartOracles:
                 assert got.tolist() == [f in want for f in faces], (name, k)
                 flips += len(want)
         assert flips > 0
+
+
+class TestEdgeKernel:
+    """The edge kernel against a long-double evaluation of the classical
+    formula (cos r_u cos r_v - p.q) / (sin r_u sin r_v) on small caps."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double")
+    def test_small_radii_match_long_double(self, ico_tri):
+        tri = ico_tri
+        u, v = tri.edge_array.T
+        rng = np.random.default_rng(71)
+        classical_misses = 0
+        for _ in range(10):
+            # caps of radius 1e-4 to 1e-3 within 1e-3 of the north pole:
+            # most edges overlap
+            xy = rng.uniform(-6e-4, 6e-4, (tri.n_vertices, 2))
+            P = np.column_stack([xy, np.ones(tri.n_vertices)])
+            P /= np.linalg.norm(P, axis=1)[:, None]
+            R = rng.uniform(1e-4, 1e-3, tri.n_vertices)
+            got = solver._inversive_all(Configuration(tri, P, R, tri.faces[0]))
+            Pl, Rl = P.astype(np.longdouble), R.astype(np.longdouble)
+            Pl /= np.sqrt(np.sum(Pl * Pl, axis=1))[:, None]
+            want = ((np.cos(Rl[u]) * np.cos(Rl[v]) - np.sum(Pl[u] * Pl[v], axis=1))
+                    / (np.sin(Rl[u]) * np.sin(Rl[v])))
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.max(np.abs(got - want) / scale) <= 1e-10
+            classical = ((np.cos(R[u]) * np.cos(R[v])
+                          - np.einsum("ij,ij->i", P[u], P[v]))
+                         / (np.sin(R[u]) * np.sin(R[v])))
+            classical_misses += np.max(np.abs(classical - want) / scale) > 1e-10
+        # the tolerance is one the classical double formula misses
+        assert classical_misses > 0
 
 
 class TestGaugeNormalize:
@@ -623,28 +665,39 @@ FROZEN = {
     "octahedron": (True, 5, 0, (1.0,), None),
     "bipyramid3": (True, 7, 0, (1.0,), None),
     "icosahedron": (True, 5, 0, (1.0,), None),
-    "bipyramid6": (True, 7, 0, (1.0,), None),
-    "bipyramid7": (True, 10, 0, (1.0,), None),
-    "bipyramid8": (True, 10, 0, (1.0,), None),
-    "bipyramid9": (True, 52, 2, (1.0,), None),
-    "bipyramid10": (False, 0, 80, (), "cold_start_infeasible"),
-    "bipyramid8-obtuse": (True, 93, 2, (1.0,), None),
-    "geodesic42-obtuse": (True, 7, 0, (1.0,), None),
+    "bipyramid6": (True, 5, 0, (1.0,), None),
+    "bipyramid7": (True, 6, 0, (1.0,), None),
+    "bipyramid8": (True, 7, 0, (1.0,), None),
+    "bipyramid9": (True, 7, 0, (1.0,), None),
+    "bipyramid10": (True, 8, 0, (1.0,), None),
+    "bipyramid8-obtuse": (True, 13, 0, (1.0,), None),
+    "geodesic42-obtuse": (True, 5, 0, (1.0,), None),
 }
 
 
 @pytest.mark.parametrize("name", list(FROZEN))
 def test_frozen_trajectory(name, request):
     """Frozen counters of the default solve: converged, LM iterations,
-    repairs, the parameters s of the report's records and the failure
-    reason.  The Tutte start answers all but bipyramid(9), where it
-    stalls after 38 iterations and the octant start converges in 14
-    more, the obtuse bipyramid(8), where the octant start in the second
-    face answers, and bipyramid(10), where no start runs an iteration."""
+    repairs (always 0), the parameters s of the report's records and the
+    failure reason.  The first punctured start answers every case."""
     tri, theta = CASES[name](request.getfixturevalue)
     _, rep = solve(tri, theta)
     assert (rep.converged, rep.iterations, rep.repairs,
             tuple(t.s for t in rep.targets), rep.failure_reason) == FROZEN[name]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "obtuse"])
+@pytest.mark.parametrize("m", range(4, 21))
+def test_bipyramid_ladder(m, kind):
+    """Uniform 2 pi / 5 and greedy obtuse angles (seed 0) on bipyramid(m)
+    solve, verify and come back as the polyhedron's dihedral angles."""
+    tri = bipyramid(m)
+    theta = (AngleAssignment.constant(tri, UNIFORM) if kind == "uniform"
+             else greedy_obtuse(tri, 0))
+    cfg, rep = solve(tri, theta)
+    assert rep.converged
+    assert verify_pattern(tri, cfg, theta).ok
+    assert build_polyhedron(tri, cfg, theta).angle_error_inf <= ANGLE_TOL
 
 
 def test_failure_names_the_stage(oct_tri, monkeypatch):
@@ -664,13 +717,15 @@ class TestSolveOptions:
         with pytest.raises(ValueError):
             SolveOptions(**kwargs)
 
-    def test_no_fallback_faces_still_reports_a_failure(self):
-        # the octant start in the requested face always runs, so the
-        # failure report has its repairs to quote
+    def test_no_fallback_faces_still_reports_a_failure(self, monkeypatch):
+        # no admissible input is known to fail any more, so no start is
+        # let iterate; the first punctured start and the reference leg
+        # are still tried
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
         tri, theta = _constant(bipyramid(10), UNIFORM)
         _, rep = solve(tri, theta, options=SolveOptions(fallback_gauges=0))
-        assert (rep.converged, rep.repairs, rep.failure_reason) == (
-            False, 80, "cold_start_infeasible")
+        assert (rep.converged, rep.iterations, rep.repairs,
+                rep.failure_reason) == (False, 0, 0, "cold_start_infeasible")
 
 
 class TestDirectLeg:
@@ -680,11 +735,34 @@ class TestDirectLeg:
                                        lambda: bipyramid(9)])
     def test_tutte_start_is_oriented_and_centered(self, maker):
         tri = maker()
-        for face in tri.faces[:4]:
-            start = _tutte_start(tri, face)
-            assert np.allclose(np.linalg.norm(start.centers, axis=1), 1.0)
-            assert np.linalg.norm(start.centers.mean(axis=0)) < CENTERING_TOL
-            assert np.all(face_excesses(start.centers, tri.face_array) > 0.0)
+        for w in range(tri.n_vertices):
+            self._assert_oriented_and_centered(_punctured_start(tri, w))
+
+    def test_mirrored_rotation_takes_the_mirror_branch(self, oct_tri):
+        # a rotation system running against the faces draws the link's
+        # first layout with every face flipped
+        tri = oct_tri
+        mirrored = Triangulation(
+            tri.faces, tri.n_vertices, tri.edges,
+            tuple(nb[::-1] for nb in tri.neighbors),
+            tri.vertex_face_cycles, tri.faces_of_edge)
+        for w in range(tri.n_vertices):
+            self._assert_oriented_and_centered(_punctured_start(mirrored, w))
+
+    @staticmethod
+    def _assert_oriented_and_centered(start):
+        tri = start.tri
+        assert np.allclose(np.linalg.norm(start.centers, axis=1), 1.0)
+        assert np.linalg.norm(start.centers.mean(axis=0)) < CENTERING_TOL
+        assert np.all(face_excesses(start.centers, tri.face_array) > 0.0)
+        u, v = tri.edge_array.T
+        length = np.arccos(np.clip(
+            np.einsum("ij,ij->i", start.centers[u], start.centers[v]),
+            -1.0, 1.0))
+        for w in range(tri.n_vertices):
+            longest = length[(u == w) | (v == w)].max()
+            assert start.radii[w] == pytest.approx(
+                solver.TUTTE_RADIUS * longest, rel=1e-12)
 
     @pytest.mark.parametrize("solved", ["solved_oct", "solved_bp3",
                                         "solved_ico"])
@@ -737,9 +815,9 @@ class TestDirectLeg:
                          options=SolveOptions(fallback_gauges=0))
         assert rep.converged
         assert [t.s for t in rep.targets] == [1.0] and rep.repairs == 0
-        # the Tutte start won, so its record counts every iteration, the
-        # face-gauge polish's included
-        assert rep.targets[0].iterations == rep.iterations == 9
+        # the first punctured start won, so its record counts every
+        # iteration, the face-gauge polish's included
+        assert rep.targets[0].iterations == rep.iterations == 6
         assert verify_pattern(geodesic162, cfg, theta).ok
 
 
