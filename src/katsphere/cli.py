@@ -128,7 +128,10 @@ def cmd_verify(args) -> int:
             theta = AngleAssignment(pattern_angles(cfg))
         except SolverError:
             theta = AngleAssignment.constant(tri, math.pi / 2)
-    vrep = verify_pattern(tri, cfg, theta, samples=args.samples)
+    try:
+        vrep = verify_pattern(tri, cfg, theta, samples=args.samples)
+    except ValueError as exc:
+        raise ParseError(f"--samples: {exc}") from None
     sys.stdout.write(jsonio.dump_verification(vrep, args.samples, ANGLE_TOL))
     if vrep.ok:
         return EXIT_OK

@@ -422,9 +422,10 @@ def _residual_or_none(cfg: Configuration, target: np.ndarray) -> np.ndarray | No
     return np.arccos(inv) - target
 
 
-def _jacobian(cfg: Configuration, lay: _Layout) -> np.ndarray:
+def _jacobian(cfg: Configuration, lay: _Layout,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Edge-angle derivatives in the free columns of `lay`, rows in the
-    order of tri.edges.
+    order of tri.edges; written into `out` (zero-filled first) when given.
 
     The angle on edge (u, v) is arccos(I(u, v)), so each entry carries
     the factor -1/sqrt(1 - I^2); and dr/dx = sin r.
@@ -437,7 +438,8 @@ def _jacobian(cfg: Configuration, lay: _Layout) -> np.ndarray:
     denom = sr[u] * sr[v]
     cos_d = _rowdot(P[u], P[v])
     frames = _chart_frames(P, lay)
-    J = np.zeros((cfg.tri.n_edges, lay.n_free))
+    J = np.empty((cfg.tri.n_edges, lay.n_free)) if out is None else out
+    J.fill(0.0)
     for end, other in ((u, v), (v, u)):
         # position: dTheta/dt = (t . p_other) / (denom sqrt); log radius:
         # dTheta/dx_end = (cos r_other - C cos r_end) sin r_end
@@ -584,18 +586,27 @@ def _levenberg(cfg: Configuration, target: np.ndarray, tolerance: float,
     state = _gate_state(cfg)
     cost = float(r @ r)
     step_norm = 0.0
+    # one pair of normal-equation buffers per call: fresh n x n arrays on
+    # every trial would churn the heap
+    J = np.empty((cfg.tri.n_edges, lay.n_free))
+    damped = np.empty((lay.n_free, lay.n_free))
+    on_diag = np.arange(lay.n_free)
     for it in range(1, MAX_ITERATIONS + 1):
         if float(np.max(np.abs(r))) < tolerance:
             return cfg, True, it - 1, lam, step_norm
-        J = _jacobian(cfg, lay)
+        _jacobian(cfg, lay, out=J)
         g = J.T @ r
-        JtJ = J.T @ J
-        diag = np.diag(JtJ).copy()
+        np.matmul(J.T, J, out=damped)
+        jtj_diag = damped[on_diag, on_diag]
+        diag = jtj_diag.copy()
         diag[diag < 1e-12] = 1e-12
         accepted = False
         while lam <= DAMPING_MAX:
+            # np.linalg.solve factors a copy, so J^T J + lam diag(diag)
+            # differs from trial to trial only on the diagonal
+            damped[on_diag, on_diag] = jtj_diag + lam * diag
             try:
-                delta = np.linalg.solve(JtJ + lam * np.diag(diag), -g)
+                delta = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
                 lam *= DAMPING_GROW
                 continue

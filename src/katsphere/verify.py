@@ -126,15 +126,21 @@ class IrreducibilityReport:
     covering_caps: tuple[int, ...]      # caps that alone cover the sphere
 
 
-def _witness_candidates(tri: Triangulation, cfg, samples: int) -> np.ndarray:
-    """Deterministic probe points: cap centers, corner points nudged
-    outward, face circumpoints, and a Fibonacci lattice.
+def _witness_candidates(tri: Triangulation, cfg, samples: int):
+    """Yield the deterministic probe points in four groups, each built
+    only when the scan asks for it: the cap centers, the corner points
+    nudged outward, the face circumpoints and a Fibonacci lattice.
 
     Edges come in edge order, each with the corners that
     circle_intersection_points finds, + before -, and every corner pushed
     away from both caps by each of PROBE_NUDGES; faces come in face order,
     each with the unit normal of its center triangle and then its negative.
     """
+    # a copy: numpy multiplies an array by its own transpose through a
+    # symmetric kernel, and every group should meet the caps through the
+    # same product
+    yield cfg.centers.copy()
+
     eu, ev = tri.edge_array.T
     corners, found = circle_intersections(cfg.centers, cfg.radii, eu, ev)
     edge = np.nonzero(found)[0]
@@ -146,16 +152,16 @@ def _witness_candidates(tri: Triangulation, cfg, samples: int) -> np.ndarray:
     x, away = x[keep], away[keep] / norm[keep, None]
     steps = np.array(PROBE_NUDGES)[:, None]
     nudged = (x[:, None, :] + steps * away[:, None, :]).reshape(-1, 3)
-    nudged = nudged / np.sqrt(_rowdot(nudged, nudged))[:, None]
+    yield nudged / np.sqrt(_rowdot(nudged, nudged))[:, None]
 
     p_i, p_j, p_k = cfg.centers[tri.face_array].transpose(1, 0, 2)
     n = np.cross(p_j - p_i, p_k - p_i)
     norm = np.sqrt(_rowdot(n, n))
     keep = norm > 1e-12
     n = n[keep] / norm[keep, None]
-    return np.vstack([cfg.centers, nudged,
-                      np.stack([n, -n], axis=1).reshape(-1, 3),
-                      fibonacci_sphere(samples)])
+    yield np.stack([n, -n], axis=1).reshape(-1, 3)
+
+    yield fibonacci_sphere(samples)
 
 
 def check_irreducible(tri: Triangulation, cfg,
@@ -165,27 +171,44 @@ def check_irreducible(tri: Triangulation, cfg,
     A pattern is irreducible exactly when no union over a strict vertex
     subset covers the sphere; since unions grow with the subset, it is
     enough that for every single vertex the union of all other caps
-    misses some point.  A vertex with no witness among the probes is
-    reported inconclusive rather than reducible.
+    misses some point.
+
+    The probes come in four groups, in this order: the cap centers, the
+    corner points of each overlapping edge nudged away from both caps,
+    the circumpoints of each face (plus and minus the unit normal of its
+    center triangle) and a Fibonacci lattice of `samples` points.  Each
+    vertex keeps the first probe that its cap alone covers, and the scan
+    stops as soon as every vertex has one, so a later group is built
+    only when an earlier one leaves a vertex without a witness.  A
+    vertex with no witness among all the probes is reported inconclusive
+    rather than reducible.  Raises ValueError for negative `samples`;
+    zero means no lattice.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     radii = np.asarray(cfg.radii, dtype=float)
     covering = tuple(int(v) for v in np.nonzero(radii >= _PI)[0])
     if covering:
         return IrreducibilityReport(False, {}, tuple(range(tri.n_vertices)),
                                     covering)
-    probes = _witness_candidates(tri, cfg, samples)
     cos_r = np.cos(radii)
+    # row blocks keep the probe x cap product within PROBE_BLOCK_FLOATS
     rows = max(1, PROBE_BLOCK_FLOATS // tri.n_vertices)
-    # per probe, the one cap that strictly covers it, or -1; row blocks
-    # keep the probe x cap product within PROBE_BLOCK_FLOATS
-    sole = np.concatenate([
-        _sole_cover(probes[i:i + rows] @ cfg.centers.T > cos_r)
-        for i in range(0, len(probes), rows)])
-    # first probe, per vertex, covered by that vertex's cap alone
-    owners, first = np.unique(sole[sole >= 0], return_index=True)
-    hits = np.flatnonzero(sole >= 0)[first]
-    witnesses = {int(v): probes[i] for v, i in zip(owners, hits)}
-    missing = tuple(v for v in range(tri.n_vertices) if v not in witnesses)
+    blocks = (group[i:i + rows]
+              for group in _witness_candidates(tri, cfg, samples)
+              for i in range(0, len(group), rows))
+    found: dict[int, np.ndarray] = {}
+    for block in blocks:
+        # per probe, the one cap that strictly covers it, or -1
+        sole = _sole_cover(block @ cfg.centers.T > cos_r)
+        owners, first = np.unique(sole, return_index=True)
+        for v, i in zip(owners.tolist(), first.tolist()):
+            if v >= 0 and v not in found:
+                found[v] = block[i].copy()
+        if len(found) == tri.n_vertices:
+            break
+    witnesses = {v: found[v] for v in sorted(found)}
+    missing = tuple(v for v in range(tri.n_vertices) if v not in found)
     return IrreducibilityReport(not missing, witnesses, missing, ())
 
 
@@ -394,6 +417,7 @@ def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
     The four headline flags form a chain: matching the target angles
     presumes a correct contact graph, gauge position presumes matching
     angles, and the irreducibility flag presumes all of the above.
+    Raises ValueError for negative `samples`.
     """
     # the probe blocks are freed before the one inversive matrix is built,
     # so the two never share the heap

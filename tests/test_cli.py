@@ -211,6 +211,22 @@ class TestVerify:
                          str(cli_ws["pattern"]), "--samples", "3"])
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("samples", ["-1", "-5"])
+    def test_negative_sample_count_is_a_parse_error(self, cli_ws, samples,
+                                                    capsys):
+        code = cli.main(["verify", str(cli_ws["complex"]),
+                         str(cli_ws["pattern"]), f"--samples={samples}"])
+        assert code == cli.EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples: samples must be non-negative" in captured.err
+
+    def test_zero_samples_means_no_lattice(self, cli_ws, capsys):
+        code = cli.main(["verify", str(cli_ws["complex"]),
+                         str(cli_ws["pattern"]), "--samples", "0"])
+        assert code == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_witness_gap_is_inconclusive(self, cli_ws, monkeypatch, capsys):
         """Gates all pass but a witness is missing: exit 5, not 2."""
         real = cli.verify_pattern

@@ -375,6 +375,16 @@ class TestChartOracles:
             sample = cfg.with_data(cfg.centers, radii)
             assert np.array_equal(jacobian(sample), oracle_jacobian(sample)), name
 
+    def test_jacobian_buffer_is_zero_filled(self, chart_cases):
+        # the LM loop reuses one buffer: stale entries must not survive
+        for name, cfg in chart_cases:
+            for gauge in (None, cfg.gauge_face):
+                lay = _layout(cfg.tri.n_vertices, gauge)
+                buf = np.full((cfg.tri.n_edges, lay.n_free), np.nan)
+                got = _jacobian(cfg, lay, out=buf)
+                assert got is buf
+                assert np.array_equal(buf, _jacobian(cfg, lay)), (name, gauge)
+
     def test_apply_step_matches_oracle(self, chart_cases):
         rng = np.random.default_rng(42)
         for name, cfg in chart_cases:

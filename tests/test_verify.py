@@ -14,6 +14,8 @@ The vectorized pair checks are compared with slow scalar oracles that
 call sphere.inversive_distance once per vertex pair, and the array pass
 over the edges behind the witness candidates with the per-edge loop of
 Cap objects and circle_intersection_points it replaced, bit for bit.
+The irreducibility check, which stops once every vertex has a witness,
+is compared with the full scan of every probe against every cap.
 """
 
 import math
@@ -21,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import geodesic, greedy_obtuse
 from katsphere.angles import AngleAssignment
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
 from katsphere import verify
@@ -36,6 +39,7 @@ from katsphere.sphere import (
 )
 from katsphere.verify import (
     TANGENCY_EPS,
+    IrreducibilityReport,
     _facing_midpoint,
     check_center_triangulation,
     check_contact_graph,
@@ -245,6 +249,87 @@ class TestIrreducibility:
         assert list(got.witnesses) == list(want.witnesses)
         for v, w in want.witnesses.items():
             assert np.array_equal(got.witnesses[v], w)
+
+
+@pytest.fixture(scope="module")
+def solved_obtuse():
+    """(name, tri, cfg) for obtuse bipyramids and obtuse geodesic-42:
+    some of their centers lie in two caps, so the search reaches the
+    corner probes."""
+    out = []
+    for name, tri in (("bipyramid4", bipyramid(4)),
+                      ("bipyramid8", bipyramid(8)),
+                      ("geodesic42", geodesic(1)[0])):
+        cfg, rep = solve(tri, greedy_obtuse(tri, 0))
+        assert rep.converged, name
+        out.append((f"obtuse-{name}", tri, cfg))
+    return out
+
+
+def assert_same_irreducibility(got, want, name):
+    assert (got.ok, got.inconclusive, got.covering_caps) == (
+        want.ok, want.inconclusive, want.covering_caps), name
+    assert list(got.witnesses) == list(want.witnesses), name
+    for v, w in want.witnesses.items():
+        assert np.array_equal(got.witnesses[v], w), (name, v)
+
+
+class TestIrreducibilityOracle:
+    def test_matches_the_full_scan(self, oct_tri, solved_oct, bp3,
+                                   solved_bp3, ico_tri, solved_ico,
+                                   realized_geodesic42, solved_obtuse):
+        sym = symmetric_octahedron_configuration(oct_tri)
+        cases = [("oct", oct_tri, solved_oct[0]),
+                 ("bp3", bp3, solved_bp3[0]),
+                 ("ico", ico_tri, solved_ico[0]),
+                 ("geodesic42", *realized_geodesic42[:2]),
+                 *solved_obtuse,
+                 ("radius2", oct_tri, sym.with_data(sym.centers,
+                                                    np.full(6, 2.0))),
+                 ("covering", oct_tri, _edited(sym, r0=3.2))]
+        for name, tri, cfg in cases:
+            assert_same_irreducibility(check_irreducible(tri, cfg),
+                                       oracle_check_irreducible(tri, cfg),
+                                       name)
+
+    def test_obtuse_witnesses_come_after_the_centers(self, solved_obtuse):
+        for name, tri, cfg in solved_obtuse:
+            rep = check_irreducible(tri, cfg)
+            assert rep.ok, name
+            assert any(not np.array_equal(w, cfg.centers[v])
+                       for v, w in rep.witnesses.items()), name
+
+    def test_lattice_is_built_only_when_needed(self, oct_tri, solved_oct,
+                                               monkeypatch):
+        def unreachable(samples):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(verify, "fibonacci_sphere", unreachable)
+        assert check_irreducible(oct_tri, solved_oct[0]).ok
+        # no vertex has a witness, so the scan runs through every group
+        sym = symmetric_octahedron_configuration(oct_tri)
+        with pytest.raises(AssertionError, match="the lattice was built"):
+            check_irreducible(oct_tri, sym.with_data(sym.centers,
+                                                     np.full(6, 2.0)))
+
+    def test_witnesses_own_their_data(self, oct_tri, solved_oct):
+        cfg = solved_oct[0]
+        cfg = cfg.with_data(cfg.centers.copy(), cfg.radii.copy())
+        rep = check_irreducible(oct_tri, cfg)
+        kept = {v: w.copy() for v, w in rep.witnesses.items()}
+        assert all(w.base is None for w in rep.witnesses.values())
+        cfg.centers[:] = -cfg.centers
+        assert_same_irreducibility(
+            rep, IrreducibilityReport(True, kept, (), ()), "octahedron")
+
+    def test_negative_samples_raise(self, oct_tri, solved_oct):
+        cfg, theta = solved_oct
+        with pytest.raises(ValueError, match="non-negative"):
+            check_irreducible(oct_tri, cfg, samples=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_pattern(oct_tri, cfg, theta, samples=-5)
+        # zero samples means no lattice: the centers are witnesses
+        assert verify_pattern(oct_tri, cfg, theta, samples=0).ok
 
 
 class TestSeparatingTriples:
@@ -663,6 +748,26 @@ def oracle_witness_candidates(tri, cfg, samples):
     return np.vstack(pts)
 
 
+def oracle_check_irreducible(tri, cfg, samples=20000):
+    """The full scan that check_irreducible replaced: every probe against
+    every cap, then per vertex the first probe its cap alone covers."""
+    radii = np.asarray(cfg.radii, dtype=float)
+    covering = tuple(int(v) for v in np.nonzero(radii >= math.pi)[0])
+    if covering:
+        return IrreducibilityReport(False, {}, tuple(range(tri.n_vertices)),
+                                    covering)
+    probes = oracle_witness_candidates(tri, cfg, samples)
+    cover = probes @ cfg.centers.T > np.cos(radii)
+    sole = np.where(cover.sum(axis=1) == 1, cover.argmax(axis=1), -1)
+    witnesses = {}
+    for i, v in enumerate(sole.tolist()):
+        if v >= 0 and v not in witnesses:
+            witnesses[v] = probes[i]
+    missing = tuple(v for v in range(tri.n_vertices) if v not in witnesses)
+    return IrreducibilityReport(not missing, dict(sorted(witnesses.items())),
+                                missing, ())
+
+
 def oracle_crossings(ca, ra, cb, rb, tangent_eps):
     """circle_intersection_points on two Caps, () where either raises."""
     try:
@@ -723,11 +828,16 @@ def skip_branch_configurations(oct_tri):
     ]
 
 
+def stacked_candidates(tri, cfg, samples):
+    """The groups of verify._witness_candidates as one array, in order."""
+    return np.vstack(list(verify._witness_candidates(tri, cfg, samples)))
+
+
 class TestArrayPassOracles:
     SAMPLES = 64
 
     def assert_candidates_match(self, tri, cfg, name):
-        got = verify._witness_candidates(tri, cfg, self.SAMPLES)
+        got = stacked_candidates(tri, cfg, self.SAMPLES)
         want = oracle_witness_candidates(tri, cfg, self.SAMPLES)
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
@@ -759,13 +869,13 @@ class TestArrayPassOracles:
                 tri, cfg.with_data(centers, radii), f"geodesic42-{k}")
 
     def test_witness_candidates_skip_branches(self, oct_tri):
-        full = len(verify._witness_candidates(
+        full = len(stacked_candidates(
             oct_tri, symmetric_octahedron_configuration(oct_tri),
             self.SAMPLES))
         for name, cfg in skip_branch_configurations(oct_tri):
             self.assert_candidates_match(oct_tri, cfg, name)
             # every case drops probes the symmetric pattern has
-            got = verify._witness_candidates(oct_tri, cfg, self.SAMPLES)
+            got = stacked_candidates(oct_tri, cfg, self.SAMPLES)
             assert len(got) < full, name
 
     def test_circle_intersections_match_scalar(self):
