@@ -113,6 +113,20 @@ class Triangulation:
         vs.setflags(write=False)
         return us, vs
 
+    # the curve sets, enumerated on first use; read them through
+    # two_edge_arcs and separating_cycles
+    @cached_property
+    def _arcs2(self) -> tuple[CurveReport, ...]:
+        return _enumerate_arcs(self)
+
+    @cached_property
+    def _separating3(self) -> tuple[CurveReport, ...]:
+        return _enumerate_separating(self, 3)
+
+    @cached_property
+    def _separating4(self) -> tuple[CurveReport, ...]:
+        return _enumerate_separating(self, 4)
+
     def is_face(self, u: Vertex, v: Vertex, w: Vertex) -> bool:
         return frozenset((u, v, w)) in self.face_index
 
@@ -239,8 +253,29 @@ def two_edge_arcs(tri: Triangulation) -> tuple[CurveReport, ...]:
     """All two-edge arcs whose endpoints are distinct and non-adjacent.
 
     Each arc is reported once, as (endpoint, middle, endpoint) with the
-    endpoints sorted.
+    endpoints sorted.  The tuple is enumerated once per triangulation.
     """
+    return tri._arcs2
+
+
+def separating_cycles(tri: Triangulation, k: int) -> tuple[CurveReport, ...]:
+    """Simple k-cycles (k = 3 or 4) with at least one vertex on each side.
+
+    The triangulation is simplicial on more than four vertices, so
+    separation is decided locally: a 3-cycle separates exactly when it is
+    not a face, and a 4-cycle (u, a, x, b) fails to separate exactly when
+    one diagonal closes two faces inside it, i.e. {u, a, x} and {u, x, b}
+    are faces, or {a, x, b} and {a, b, u} are.  The tuple is enumerated
+    once per triangulation.
+    """
+    if k == 3:
+        return tri._separating3
+    if k == 4:
+        return tri._separating4
+    raise ValueError(f"cycle length {k} not supported (only 3 and 4)")
+
+
+def _enumerate_arcs(tri: Triangulation) -> tuple[CurveReport, ...]:
     out = []
     for mid in range(tri.n_vertices):
         nb = sorted(tri.neighbors[mid])
@@ -254,23 +289,14 @@ def two_edge_arcs(tri: Triangulation) -> tuple[CurveReport, ...]:
     return tuple(out)
 
 
-def separating_cycles(tri: Triangulation, k: int) -> tuple[CurveReport, ...]:
-    """Simple k-cycles (k = 3 or 4) with at least one vertex on each side.
-
-    The triangulation is simplicial on more than four vertices, so
-    separation is decided locally: a 3-cycle separates exactly when it is
-    not a face, and a 4-cycle (u, a, x, b) fails to separate exactly when
-    one diagonal closes two faces inside it, i.e. {u, a, x} and {u, x, b}
-    are faces, or {a, x, b} and {a, b, u} are.
-    """
+def _enumerate_separating(tri: Triangulation,
+                          k: int) -> tuple[CurveReport, ...]:
     if k == 3:
         raw = [c for c in _three_cycles(tri) if not tri.is_face(*c)]
-    elif k == 4:
+    else:
         raw = [(u, a, x, b) for (u, a, x, b) in _four_cycles(tri)
                if not (tri.is_face(u, a, x) and tri.is_face(u, x, b)
                        or tri.is_face(a, x, b) and tri.is_face(a, b, u))]
-    else:
-        raise ValueError(f"cycle length {k} not supported (only 3 and 4)")
     out = []
     for cyc in raw:
         edges = tuple(norm_edge(cyc[i], cyc[(i + 1) % k]) for i in range(k))

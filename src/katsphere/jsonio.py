@@ -1,9 +1,16 @@
 """JSON interchange formats for complexes, angles, patterns, and reports.
 
-All writers emit canonical JSON (sorted keys, two-space indent, repr
-floats) so identical inputs produce byte-identical artifacts.  All
-readers validate shape strictly and raise ParseError with the offending
-path; geometric or combinatorial validity is left to the owning modules.
+All writers emit canonical JSON so identical inputs produce
+byte-identical artifacts.  The canonical bytes are those of
+`json.dumps(obj, sort_keys=True, indent=2)` plus a newline: keys sorted,
+two-space indent, ASCII strings, floats by `float.__repr__`, and NaN or
+Infinity spelled as Python's json module spells them.  `canonical_json`
+writes them itself, because with an indent the standard library falls
+back to its pure-Python encoder.  It also accepts numpy arrays as
+leaves, written exactly as `arr.tolist()` would be, one row template
+per array; writers pass their vector fields as arrays.  All readers
+validate shape strictly and raise ParseError with the offending path;
+geometric or combinatorial validity is left to the owning modules.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -20,7 +28,64 @@ from .errors import ParseError
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as `json.dumps(obj, sort_keys=True, indent=2)` writes it, plus
+    a newline; numpy arrays are written as their `tolist()`.
+
+    Raises TypeError for a dict key that is not a str and for any value
+    json cannot write (numpy scalars other than float64 among them).
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, nl: str) -> str:
+    """obj as JSON text; nl is a newline plus the indent obj starts at."""
+    if isinstance(obj, float):      # the common leaf first
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([_encode(x, inner) for x in obj])
+                + nl + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        # _string raises TypeError on a key that is not a str
+        return ("{" + inner + ("," + inner).join(
+            [_string(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())])
+            + nl + "}")
+    if isinstance(obj, np.ndarray):
+        return _array(obj, nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _array(arr: np.ndarray, nl: str) -> str:
+    """A finite 1-D or 2-D int or float array through one "%r" template
+    per row; every other array element by element.  `tolist()` yields
+    Python ints and floats, whose %r is their JSON text."""
+    if (arr.ndim not in (1, 2) or arr.size == 0 or arr.dtype.kind not in "fiu"
+            or arr.dtype.kind == "f" and not np.isfinite(arr).all()):
+        return _encode(arr.tolist(), nl)
+    inner = nl + "  "
+    if arr.ndim == 1:
+        return "[" + inner + ("," + inner).join(map(repr, arr.tolist())) + nl + "]"
+    deeper = inner + "  "
+    row = "[" + deeper + ("," + deeper).join(["%r"] * arr.shape[1]) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row % tuple(r) for r in arr.tolist()])
+            + nl + "]")
 
 
 def _load_json(path):
@@ -152,11 +217,13 @@ def dump_pattern(cfg, report, theta: AngleAssignment | None) -> str:
     }
     if theta is not None:
         rep["target_angles"] = _angle_entries(theta)
+    residual = float(report.residual_inf)
     return canonical_json({
-        "centers": [list(map(float, row)) for row in cfg.centers],
-        "radii": [float(r) for r in cfg.radii],
+        "centers": cfg.centers,
+        "radii": cfg.radii,
         "gauge_face": list(cfg.gauge_face),
-        "residual_inf": float(report.residual_inf),
+        # JSON has no Infinity; a failed solve may end on one
+        "residual_inf": residual if math.isfinite(residual) else None,
         "report": rep,
     })
 
@@ -207,12 +274,8 @@ def load_pattern(path, tri: Triangulation):
 # reports
 # ---------------------------------------------------------------------------
 
-def _vec(x) -> list[float]:
-    return [float(v) for v in x]
-
-
 def dump_verification(rep, samples: int, angle_tol: float) -> str:
-    witnesses = {str(v): _vec(w) for v, w in
+    witnesses = {str(v): w for v, w in
                  sorted(rep.irreducibility.witnesses.items())}
     return canonical_json({
         "flags": {
@@ -243,13 +306,13 @@ def dump_verification(rep, samples: int, angle_tol: float) -> str:
             "ok": rep.triples.ok,
             "results": [
                 {"cycle": list(r.cycle), "empty": r.empty,
-                 "witness": None if r.witness is None else _vec(r.witness)}
+                 "witness": r.witness}
                 for r in rep.triples.results],
         },
         "tangencies": [
             {"u": d.pair[0], "v": d.pair[1], "third": d.third,
              "inversive": float(d.inversive), "angle_sum": float(d.angle_sum),
-             "consistent": d.consistent, "point": _vec(d.point)}
+             "consistent": d.consistent, "point": d.point}
             for d in rep.tangencies],
         "layout": {
             "ok": rep.layout.ok,
@@ -269,9 +332,9 @@ def dump_verification(rep, samples: int, angle_tol: float) -> str:
 
 def dump_polyhedron(poly) -> str:
     return canonical_json({
-        "face_normals": [_vec(row) for row in poly.face_normals],
-        "vertices": [_vec(row) for row in poly.vertices],
-        "klein_vertices": [_vec(row) for row in poly.klein_vertices()],
+        "face_normals": poly.face_normals,
+        "vertices": poly.vertices,
+        "klein_vertices": poly.klein_vertices(),
         "face_cycles": [list(c) for c in poly.face_cycles],
         "dihedral_angles": [
             {"u": u, "v": v, "angle": float(a)}

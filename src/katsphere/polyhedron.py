@@ -217,11 +217,9 @@ def export_off(poly: HyperbolicPolyhedron, path) -> None:
     Floats are written with repr precision so a re-parse reproduces the
     projected coordinates exactly.
     """
-    klein = poly.klein_vertices()
     lines = ["OFF", f"{poly.n_vertices} {poly.n_faces} {poly.n_edges}"]
-    for row in klein:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    for cycle in poly.face_cycles:
-        lines.append(" ".join(str(i) for i in (len(cycle), *cycle)))
+    lines += ["%r %r %r" % tuple(row) for row in poly.klein_vertices().tolist()]
+    lines += [" ".join(map(str, (len(cycle), *cycle)))
+              for cycle in poly.face_cycles]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .complexes import Triangulation
-from .sphere import fibonacci_sphere
+from .sphere import _elementwise, fibonacci_sphere
 
 _POLE_CANDIDATES = 400
 
@@ -24,10 +24,15 @@ def choose_projection_pole(cfg, candidates: int = _POLE_CANDIDATES
                            ) -> np.ndarray:
     """Point with the largest clearance from circles and centers."""
     probes = fibonacci_sphere(candidates)
-    dots = np.clip(probes @ cfg.centers.T, -1.0, 1.0)
-    dist = np.arccos(dots)
-    clearance = np.minimum(np.abs(dist - cfg.radii[None, :]), dist)
-    return probes[int(np.argmax(clearance.min(axis=1)))]
+    # the candidates x caps arrays are a render's largest allocation:
+    # two of them, updated in place
+    dist = probes @ cfg.centers.T
+    np.clip(dist, -1.0, 1.0, out=dist)
+    np.arccos(dist, out=dist)
+    gap = dist - cfg.radii
+    np.abs(gap, out=gap)
+    np.minimum(gap, dist, out=gap)
+    return probes[int(np.argmax(gap.min(axis=1)))]
 
 
 def _rotation_to_north(pole: np.ndarray) -> np.ndarray:
@@ -38,60 +43,50 @@ def _rotation_to_north(pole: np.ndarray) -> np.ndarray:
     return np.vstack([x, y, pole])
 
 
-def _project_point(p: np.ndarray) -> tuple[float, float]:
-    return float(p[0] / (1.0 - p[2])), float(p[1] / (1.0 - p[2]))
-
-
-def _project_circle(p: np.ndarray, rho: float
-                    ) -> tuple[float, float, float]:
-    """Image (cx, cy, radius) of a cap boundary under projection from
-    the north pole onto the equatorial plane."""
-    k = float(p[2]) - math.cos(rho)
-    cx, cy = -float(p[0]) / k, -float(p[1]) / k
-    return cx, cy, math.sin(rho) / abs(k)
+def _project(centers: np.ndarray, radii: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Images under projection from the north pole onto the equatorial
+    plane: (n, 3) rows (cx, cy, radius) of the cap boundaries and (n, 2)
+    rows (x, y) of the cap centers.  The cosines and sines round like
+    the scalar math calls."""
+    x, y, z = centers.T
+    k = z - _elementwise(math.cos, radii)
+    circles = np.column_stack(
+        [-x / k, -y / k, _elementwise(math.sin, radii) / np.abs(k)])
+    points = np.column_stack([x / (1.0 - z), y / (1.0 - z)])
+    return circles, points
 
 
 def render_svg(tri: Triangulation, cfg) -> str:
     pole = choose_projection_pole(cfg)
     rot = _rotation_to_north(pole)
-    centers = cfg.centers @ rot.T
+    circles, points = _project(cfg.centers @ rot.T, cfg.radii)
 
-    circles = [_project_circle(centers[v], float(cfg.radii[v]))
-               for v in range(tri.n_vertices)]
-    points = [_project_point(centers[v]) for v in range(tri.n_vertices)]
-
-    xs = [c[0] - c[2] for c in circles] + [c[0] + c[2] for c in circles]
-    ys = [c[1] - c[2] for c in circles] + [c[1] + c[2] for c in circles]
-    xs += [p[0] for p in points]
-    ys += [p[1] for p in points]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    cx, cy, r = circles.T
+    xs = np.concatenate([cx - r, cx + r, points[:, 0]])
+    ys = np.concatenate([cy - r, cy + r, points[:, 1]])
+    lo_x, hi_x = float(xs.min()), float(xs.max())
+    lo_y, hi_y = float(ys.min()), float(ys.max())
     span = max(hi_x - lo_x, hi_y - lo_y)
     pad = 0.05 * span
     view = (lo_x - pad, lo_y - pad,
             (hi_x - lo_x) + 2 * pad, (hi_y - lo_y) + 2 * pad)
-    stroke = 0.004 * span
+    stroke = "%.4f" % (0.004 * span)
 
-    def fmt(x: float) -> str:
-        return f"{x:.4f}"
-
+    line = '<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f"/>'
+    circle = '<circle cx="%.4f" cy="%.4f" r="%.4f"/>'
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
-        f'viewBox="{fmt(view[0])} {fmt(view[1])} {fmt(view[2])} '
-        f'{fmt(view[3])}">',
-        f'<g stroke="#888888" stroke-width="{fmt(stroke)}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+        'viewBox="%.4f %.4f %.4f %.4f">' % view,
+        f'<g stroke="#888888" stroke-width="{stroke}">',
+        *[line % tuple(row) for row in
+          points[tri.edge_array].reshape(-1, 4).tolist()],
+        "</g>",
+        f'<g fill="none" stroke="#1f77b4" stroke-width="{stroke}">',
+        *[circle % tuple(row) for row in circles.tolist()],
+        "</g>",
+        "</svg>",
     ]
-    for (u, v) in tri.edges:
-        parts.append(
-            f'<line x1="{fmt(points[u][0])}" y1="{fmt(points[u][1])}" '
-            f'x2="{fmt(points[v][0])}" y2="{fmt(points[v][1])}"/>')
-    parts.append("</g>")
-    parts.append(f'<g fill="none" stroke="#1f77b4" '
-                 f'stroke-width="{fmt(stroke)}">')
-    for (cx, cy, r) in circles:
-        parts.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" '
-                     f'r="{fmt(r)}"/>')
-    parts.append("</g>")
-    parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 

@@ -128,18 +128,23 @@ def geodesic(level):
     return build_triangulation(faces), np.array(pts)
 
 
-@pytest.fixture(scope="session")
-def realized_geodesic42():
-    """The once-subdivided icosahedron with a cap of 0.6 times the longest
-    incident edge on every vertex, gauged on its first face, and the
-    angles it realizes."""
-    tri, pos = geodesic(1)
+def realized_geodesic(level):
+    """The icosahedron subdivided `level` times with a cap of 0.6 times
+    the longest incident edge on every vertex, gauged on its first face,
+    and the angles it realizes: (triangulation, configuration, angles)."""
+    tri, pos = geodesic(level)
     radii = np.array([
         0.6 * float(np.max(np.arccos(np.clip(
             pos[list(tri.neighbors[v])] @ pos[v], -1.0, 1.0))))
         for v in range(tri.n_vertices)])
     cfg = regauge(Configuration(tri, pos, radii, tri.faces[0]), tri.faces[0])
     return tri, cfg, AngleAssignment(pattern_angles(cfg))
+
+
+@pytest.fixture(scope="session")
+def realized_geodesic42():
+    """realized_geodesic(1): 42 vertices."""
+    return realized_geodesic(1)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from katsphere.catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
 from katsphere.complexes import (
+    CurveReport,
     build_dual_complex,
     build_triangulation,
     dualize,
@@ -31,6 +32,9 @@ from katsphere.errors import (
     NotTrivalent,
     TooFewVertices,
 )
+
+from conftest import geodesic
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracles (no shared code with the library internals)
@@ -334,6 +338,80 @@ class TestCurveEnumeration:
         assert len(two_edge_arcs(tri)) == 13848
         for rep in threes[::30] + fours[::150]:
             assert_separates(tri, rep)
+
+
+# ---------------------------------------------------------------------------
+# the curve sets cached on the triangulation
+# ---------------------------------------------------------------------------
+
+
+def uncached_two_edge_arcs(tri):
+    """two_edge_arcs before it was cached on the triangulation."""
+    out = []
+    for mid in range(tri.n_vertices):
+        nb = sorted(tri.neighbors[mid])
+        for i, u in enumerate(nb):
+            for w in nb[i + 1:]:
+                if w not in tri.adjacent[u]:
+                    out.append(CurveReport(
+                        kind="arc2",
+                        vertices=(u, mid, w),
+                        edges=(norm_edge(u, mid), norm_edge(mid, w))))
+    return tuple(out)
+
+
+def uncached_separating_cycles(tri, k):
+    """separating_cycles before it was cached on the triangulation."""
+    if k == 3:
+        raw = []
+        for (u, v) in tri.edges:
+            for w in sorted(tri.adjacent[u] & tri.adjacent[v]):
+                if w > v and not tri.is_face(u, v, w):
+                    raw.append((u, v, w))
+    else:
+        raw = []
+        for u in range(tri.n_vertices):
+            nb = sorted(x for x in tri.adjacent[u] if x > u)
+            for i, a in enumerate(nb):
+                for b in nb[i + 1:]:
+                    for x in sorted(tri.adjacent[a] & tri.adjacent[b]):
+                        if x > u and not (
+                                tri.is_face(u, a, x) and tri.is_face(u, x, b)
+                                or tri.is_face(a, x, b) and tri.is_face(a, b, u)):
+                            raw.append((u, a, x, b))
+    return tuple(
+        CurveReport(kind=f"separating{k}", vertices=cyc,
+                    edges=tuple(norm_edge(cyc[i], cyc[(i + 1) % k])
+                                for i in range(k)))
+        for cyc in raw)
+
+
+CACHED_MESHES = [stacked_tetrahedra(1), stacked_tetrahedra(7),
+                 stacked_tetrahedra(60), geodesic(1)[0], geodesic(2)[0]]
+
+
+class TestCurveCache:
+    @pytest.mark.parametrize("tri", CACHED_MESHES,
+                             ids=lambda t: f"V{t.n_vertices}")
+    def test_cached_sets_equal_the_enumeration(self, tri):
+        # equal tuples: same curves, same order, same kinds and edges
+        fresh = build_triangulation(tri.faces)
+        assert two_edge_arcs(fresh) == uncached_two_edge_arcs(fresh)
+        for k in (3, 4):
+            assert separating_cycles(fresh, k) == \
+                uncached_separating_cycles(fresh, k)
+
+    @pytest.mark.parametrize("tri", CACHED_MESHES,
+                             ids=lambda t: f"V{t.n_vertices}")
+    def test_second_call_returns_the_same_tuple(self, tri):
+        assert two_edge_arcs(tri) is two_edge_arcs(tri)
+        for k in (3, 4):
+            assert separating_cycles(tri, k) is separating_cycles(tri, k)
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_other_lengths_raise(self, oct_tri, k):
+        with pytest.raises(ValueError, match="not supported"):
+            separating_cycles(oct_tri, k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from katsphere.angles import AngleAssignment
 from katsphere.errors import DomainMismatch, ParseError
@@ -23,6 +27,7 @@ from katsphere.jsonio import (
 )
 from katsphere.complexes import dualize
 from katsphere.polyhedron import build_polyhedron
+from katsphere.solver import SolveReport
 from katsphere.verify import verify_pattern
 
 
@@ -193,6 +198,129 @@ class TestPattern:
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match="theta must be a number"):
             load_pattern(path, oct_tri)
+
+
+class TestPatternWriter:
+    @pytest.mark.parametrize("residual", [math.inf, -math.inf, math.nan])
+    def test_non_finite_residual_is_written_as_null(
+            self, oct_tri, solved_oct, tmp_path, residual):
+        cfg, theta = solved_oct
+        rep = SolveReport(converged=False, residual_inf=residual,
+                          iterations=7, targets=(), repairs=0,
+                          failure_reason="no_start_converged")
+        text = dump_pattern(cfg, rep, theta)
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+        assert json.loads(text, parse_constant=reject)["residual_inf"] is None
+        path = tmp_path / "pattern.json"
+        path.write_text(text)
+        loaded, _, report = load_pattern(path, oct_tri)
+        assert np.array_equal(loaded.radii, cfg.radii)
+        assert report["failure_reason"] == "no_start_converged"
+
+    @pytest.mark.parametrize("name, complex_name", [
+        ("solved_oct", "oct_tri"), ("solved_bp3", "bp3"),
+        ("realized_geodesic42", None)])
+    def test_load_then_dump_gives_the_same_bytes(self, request, tmp_path,
+                                                 name, complex_name):
+        if complex_name is None:
+            tri, cfg, theta = request.getfixturevalue(name)
+        else:
+            tri = request.getfixturevalue(complex_name)
+            cfg, theta = request.getfixturevalue(name)
+        rep = SolveReport(converged=True, residual_inf=3.5e-12, iterations=9,
+                          targets=(), repairs=1)
+        path = tmp_path / "pattern.json"
+        path.write_text(dump_pattern(cfg, rep, theta))
+        loaded_cfg, loaded_theta, report = load_pattern(path, tri)
+        # the file keeps only the number of targets, which is all
+        # dump_pattern reads of them
+        loaded_rep = SimpleNamespace(
+            **{k: report[k] for k in ("converged", "failure_reason",
+                                      "iterations", "repairs")},
+            targets=[None] * report["homotopy_steps"],
+            residual_inf=json.loads(path.read_text())["residual_inf"])
+        assert dump_pattern(loaded_cfg, loaded_rep, loaded_theta) == \
+            path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# canonical_json against json.dumps
+# ---------------------------------------------------------------------------
+
+def oracle_json(obj) -> str:
+    """json.dumps with every numpy array replaced by its tolist()."""
+    def plain(x):
+        if isinstance(x, np.ndarray):
+            return x.tolist()
+        if isinstance(x, (list, tuple)):
+            return [plain(y) for y in x]
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x
+    return json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+FLOATS = (st.floats()
+          | st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, 1e-300, 0.1,
+                             math.nan, math.inf, -math.inf])
+          | st.floats().map(np.float64))
+TEXT = st.text() | st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\x00\x1f\n\t\r", "\u00e9\u4e2d", "\u2028",
+     "\U0001f600", ""])
+ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.float32, np.int64, np.int32,
+                           np.uint8, np.bool_]),
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4))
+LEAVES = (st.none() | st.booleans() | FLOATS | TEXT | ARRAYS
+          | st.integers() | st.integers(min_value=-10 ** 40,
+                                        max_value=10 ** 40))
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=20)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=200, deadline=None)
+    @given(obj=TREES)
+    def test_matches_json_dumps(self, obj):
+        assert canonical_json(obj) == oracle_json(obj)
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12.0).reshape(4, 3) / 7.0,
+        np.arange(-5, 5),
+        np.array([[1, 2], [3, 4]], dtype=np.uint64) << np.uint64(62),
+        np.array([0.5, math.nan, 2.0]),
+        np.array([[1.0, -math.inf], [0.0, -0.0]]),
+        np.zeros(0), np.zeros((3, 0)), np.zeros((0, 3)),
+        np.ones((2, 2, 2)), np.full((), 2.5),
+        np.array([True, False]),
+    ], ids=["2d-float", "1d-int", "2d-uint64", "1d-nan", "2d-inf", "empty",
+            "n-by-0", "0-by-n", "3d", "0d", "bool"])
+    def test_array_leaves(self, arr):
+        obj = {"a": arr, "b": [arr, {"c": arr}]}
+        assert canonical_json(obj) == oracle_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1: 2}, {"a": 1, 2: 3}, {None: 0}, {(1, 2): 0}, {1.5: 0},
+        [{"x": {b"k": 1}}]], ids=["int", "mixed", "none", "tuple", "float",
+                                  "nested-bytes"])
+    def test_non_str_keys_raise(self, obj):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(3), [np.int64(3)], {"a": np.int32(1)}, np.float32(1.5),
+        {"a": {1, 2}}, [1 + 2j], np.array([1 + 2j])],
+        ids=["int64", "int64-in-list", "int32-in-dict", "float32", "set",
+             "complex", "complex-array"])
+    def test_unserializable_values_raise(self, obj):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
 
 
 class TestReportSerialization:
