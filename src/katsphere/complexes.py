@@ -56,14 +56,12 @@ class Triangulation:
     def __init__(self, faces: tuple[Face, ...], n_vertices: int,
                  edges: tuple[Edge, ...],
                  neighbors: tuple[tuple[int, ...], ...],
-                 vertex_face_cycles: tuple[tuple[int, ...], ...],
                  faces_of_edge: dict[Edge, tuple[int, int]]):
         self.faces = faces
         self.n_vertices = n_vertices
         self.edges = edges                      # sorted; fixes coordinate order
         self.neighbors = neighbors              # cyclic rotation order per vertex
         self.adjacent = tuple(frozenset(nb) for nb in neighbors)
-        self.vertex_face_cycles = vertex_face_cycles  # face indices around each vertex
         self.faces_of_edge = faces_of_edge
         self.face_index = {frozenset(f): i for i, f in enumerate(faces)}
 
@@ -77,6 +75,14 @@ class Triangulation:
 
     def degree(self, v: Vertex) -> int:
         return len(self.neighbors[v])
+
+    @cached_property
+    def vertex_face_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Face indices around each vertex, following its rotation."""
+        return tuple(
+            tuple(self.face_index[frozenset((v, x, y))]
+                  for x, y in zip(cyc, cyc[1:] + cyc[:1]))
+            for v, cyc in enumerate(self.neighbors))
 
     @cached_property
     def edge_array(self) -> np.ndarray:
@@ -237,16 +243,8 @@ def build_triangulation(faces: Iterable[Iterable[int]]) -> Triangulation:
         if e not in faces_of_edge:
             faces_of_edge[e] = (fi, directed[(v, u)])
 
-    face_idx = {frozenset(f): i for i, f in enumerate(face_list)}
-    vertex_face_cycles: list[tuple[int, ...]] = []
-    for v in range(n):
-        cyc = neighbors[v]
-        d = len(cyc)
-        vertex_face_cycles.append(tuple(
-            face_idx[frozenset((v, cyc[t], cyc[(t + 1) % d]))] for t in range(d)))
-
     return Triangulation(tuple(face_list), n, edges, tuple(neighbors),
-                         tuple(vertex_face_cycles), faces_of_edge)
+                         faces_of_edge)
 
 
 def two_edge_arcs(tri: Triangulation) -> tuple[CurveReport, ...]:

@@ -65,6 +65,7 @@ from .errors import (
 )
 from .sphere import (
     Cap,
+    _inversive_pairs,
     _normal_caps,
     _plane_normals,
     _rowdot,
@@ -374,27 +375,10 @@ def _moebius_center(P: np.ndarray) -> np.ndarray:
 # residual and Jacobian
 # ---------------------------------------------------------------------------
 
-def _inversive_all(cfg: Configuration) -> np.ndarray:
-    """Inversive distance per edge, in the order of tri.edges.
-
-    With unit centers p, q and a = sin^2(r/2), the numerator
-    cos r_u cos r_v - p.q equals |p - q|^2 / 2 - 2 (a_u + a_v) + 4 a_u a_v,
-    whose terms are all of the order of the radii squared: nothing
-    cancels at O(1) when the caps are small.
-    """
-    u, v = cfg.tri.edge_array.T
-    P = cfg.centers / np.sqrt(_rowdot(cfg.centers, cfg.centers))[:, None]
-    a = np.sin(0.5 * cfg.radii) ** 2
-    sr = np.sin(cfg.radii)
-    diff = P[u] - P[v]
-    num = 0.5 * _rowdot(diff, diff) - 2.0 * (a[u] + a[v]) + 4.0 * a[u] * a[v]
-    return num / (sr[u] * sr[v])
-
-
 def _edge_angles(cfg: Configuration) -> np.ndarray:
     """Overlap angle per edge, in the order of tri.edges; raises
     EdgeNotOverlapping if a pair separated or engulfed."""
-    inv = _inversive_all(cfg)
+    inv = _inversive_pairs(cfg.centers, cfg.radii, *cfg.tri.edge_array.T)
     bad = np.nonzero(np.abs(inv) >= 1.0)[0]
     if bad.size:
         e = cfg.tri.edges[int(bad[0])]
@@ -416,7 +400,7 @@ def residual(cfg: Configuration, theta: AngleAssignment) -> np.ndarray:
 
 
 def _residual_or_none(cfg: Configuration, target: np.ndarray) -> np.ndarray | None:
-    inv = _inversive_all(cfg)
+    inv = _inversive_pairs(cfg.centers, cfg.radii, *cfg.tri.edge_array.T)
     if np.any(np.abs(inv) >= 1.0 - 1e-12):
         return None
     return np.arccos(inv) - target
@@ -432,9 +416,9 @@ def _jacobian(cfg: Configuration, lay: _Layout,
     """
     P, R = cfg.centers, cfg.radii
     cr, sr = np.cos(R), np.sin(R)
-    inv = _inversive_all(cfg)
-    scale = 1.0 / np.sqrt(np.maximum(1.0 - inv * inv, 1e-30))
     u, v = cfg.tri.edge_array.T
+    inv = _inversive_pairs(P, R, u, v)
+    scale = 1.0 / np.sqrt(np.maximum(1.0 - inv * inv, 1e-30))
     denom = sr[u] * sr[v]
     cos_d = _rowdot(P[u], P[v])
     frames = _chart_frames(P, lay)

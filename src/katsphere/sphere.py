@@ -7,7 +7,10 @@ vector and a radius in (0, pi).  The inversive distance of two caps is
 
 with d the center distance; |I| < 1 means the boundary circles cross and
 arccos I is the overlap angle, I = 1 is external tangency of the disks,
-I > 1 means disjoint boundaries.
+I > 1 means disjoint boundaries.  The solver and `verify_pattern` read
+every edge through one kernel, `_inversive_pairs`, which stays accurate
+on small caps; `inversive_matrix` keeps the Gram form for the other
+pairs, which are compared with 1.  `boost_to_center` is a closed form.
 """
 
 from __future__ import annotations
@@ -110,6 +113,22 @@ def inversive_matrix(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """
     c, s = np.cos(radii), np.sin(radii)
     return (np.outer(c, c) - centers @ centers.T) / np.outer(s, s)
+
+
+def _inversive_pairs(centers: np.ndarray, radii: np.ndarray,
+                     us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Inversive distance of the cap pairs (us[i], vs[i]).
+
+    With unit centers p, q and a = sin^2(r/2), the numerator
+    cos r_u cos r_v - p.q is |p - q|^2 / 2 - 2 (a_u + a_v) + 4 a_u a_v,
+    whose terms are all of the order of the radii squared: nothing
+    cancels when the caps are small."""
+    P = centers / np.sqrt(_rowdot(centers, centers))[:, None]
+    a = np.sin(0.5 * radii) ** 2
+    sr = np.sin(radii)
+    diff = P[us] - P[vs]
+    num = 0.5 * _rowdot(diff, diff) - 2.0 * (a[us] + a[vs]) + 4.0 * a[us] * a[vs]
+    return num / (sr[us] * sr[vs])
 
 
 def overlap_angle(a: Cap, b: Cap) -> float:
@@ -563,23 +582,15 @@ def boost_to_center(q) -> np.ndarray:
 
     The returned 4x4 matrix B satisfies B q = (0, 0, 0, 1); planes through
     q become planes through the ball center, so caps whose boundary planes
-    pass through q become great circles.
+    pass through q become great circles.  For q = (x, t) it is the pure
+    boost [[I + x x^T / (1 + t), -x], [-x^T, t]]: as |x|^2 = t^2 - 1,
+    x x^T / (1 + t) is (cosh d - 1) u u^T with u = x / |x|, written with
+    no division by |x|, so the origin needs no branch.
     """
     q = np.asarray(q, dtype=float)
     if abs(minkowski_dot(q, q) + 1.0) > 1e-9 or q[3] <= 0.0:
         raise PreconditionViolated(
             "expected a future-pointing timelike unit vector")
-    basis = []
-    for k in range(3):
-        v = np.zeros(4)
-        v[k] = 1.0
-        v = v + minkowski_dot(v, q) * q
-        for u in basis:
-            v = v - minkowski_dot(v, u) * u
-        n2 = minkowski_dot(v, v)
-        if n2 < 1e-12:
-            raise PreconditionViolated("degenerate orthogonal frame")
-        basis.append(v / math.sqrt(n2))
-    rows = [MINKOWSKI_METRIC @ u for u in basis]
-    rows.append(-(MINKOWSKI_METRIC @ q))
-    return np.vstack(rows)
+    x, t = q[:3], q[3]
+    return np.block([[np.eye(3) + np.outer(x, x) / (1.0 + t), -x[:, None]],
+                     [-x, t]])

@@ -26,6 +26,7 @@ import numpy as np
 from .angles import AngleAssignment
 from .complexes import Triangulation, separating_cycles
 from .sphere import (
+    _inversive_pairs,
     _rowdot,
     circle_intersections,
     face_excesses,
@@ -81,17 +82,18 @@ def check_contact_graph(tri: Triangulation, cfg,
 
     Non-adjacent pairs at inversive distance 1 (within tangency_eps) are
     flagged as `tangency`, the boundary case where two disks touch in a
-    single point.
+    single point.  Edges are read through the edge kernel of `sphere`.
     """
-    return _contact_report(tri, inversive_matrix(cfg.centers, cfg.radii),
-                           tangency_eps)
+    return _contact_report(
+        tri, _inversive_pairs(cfg.centers, cfg.radii, *tri.edge_array.T),
+        inversive_matrix(cfg.centers, cfg.radii), tangency_eps)
 
 
-def _contact_report(tri: Triangulation, inv: np.ndarray,
+def _contact_report(tri: Triangulation, e_inv: np.ndarray, inv: np.ndarray,
                     tangency_eps: float) -> ContactReport:
     eu, ev = tri.edge_array.T
     pu, pv = tri.nonadjacent_pairs
-    e_inv, p_inv = inv[eu, ev], inv[pu, pv]
+    p_inv = inv[pu, pv]
     lost = _violations(("lost_overlap", "engulfing"),
                        [e_inv >= 1.0, e_inv <= -1.0], eu, ev, e_inv)
     near = _violations(("tangency", "containment", "overlap"),
@@ -417,21 +419,20 @@ def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
     The four headline flags form a chain: matching the target angles
     presumes a correct contact graph, gauge position presumes matching
     angles, and the irreducibility flag presumes all of the above.
-    Raises ValueError for negative `samples`.
+    Raises ValueError for negative `samples`.  The edges are read once,
+    through the edge kernel of `sphere`; the angle error is inf when an
+    edge has |I| >= 1.
     """
     # the probe blocks are freed before the one inversive matrix is built,
     # so the two never share the heap
     irr = check_irreducible(tri, cfg, samples)
     inv = inversive_matrix(cfg.centers, cfg.radii)
-    contact = _contact_report(tri, inv, TANGENCY_EPS)
-    eu, ev = tri.edge_array.T
-    e_inv = inv[eu, ev]
-    err = 0.0
-    for e, e_i in zip(tri.edges, e_inv.tolist()):
-        if abs(e_i) < 1.0:
-            err = max(err, abs(math.acos(e_i) - theta[e]))
-        else:
-            err = float("inf")
+    e_inv = _inversive_pairs(cfg.centers, cfg.radii, *tri.edge_array.T)
+    contact = _contact_report(tri, e_inv, inv, TANGENCY_EPS)
+    err = float("inf")
+    if np.all(np.abs(e_inv) < 1.0):
+        target = np.array([theta[e] for e in tri.edges])
+        err = float(np.max(np.abs(np.arccos(e_inv) - target)))
     in_contact = contact.ok
     in_target = in_contact and err <= angle_tol
     in_gauge = in_target and _gauge_in_position(cfg)

@@ -247,6 +247,17 @@ class TestBuildValidation:
         for fi in range(len(oct_tri.faces)):
             assert seen.count(fi) == 3
 
+    def test_vertex_face_cycles_follow_the_rotation(self, ico_tri, stacked2):
+        # face t around v is the one on the corner (v, cyc[t], cyc[t + 1]),
+        # looked up by a scan of the faces; the cycles are built once
+        for tri in (ico_tri, stacked2):
+            for v, cyc in enumerate(tri.neighbors):
+                want = [next(i for i, f in enumerate(tri.faces)
+                             if set(f) == {v, x, y})
+                        for x, y in zip(cyc, cyc[1:] + cyc[:1])]
+                assert list(tri.vertex_face_cycles[v]) == want
+            assert tri.vertex_face_cycles is tri.vertex_face_cycles
+
     def test_cached_index_arrays(self, ico_tri, stacked2):
         for tri in (ico_tri, stacked2):
             assert tri.edge_array.tolist() == [list(e) for e in tri.edges]

@@ -46,6 +46,7 @@ from katsphere.solver import (
 )
 from katsphere.sphere import (
     Cap,
+    _inversive_pairs,
     _normal_caps,
     boost_to_center,
     cap_plane_normal,
@@ -434,7 +435,7 @@ class TestEdgeKernel:
             P = np.column_stack([xy, np.ones(tri.n_vertices)])
             P /= np.linalg.norm(P, axis=1)[:, None]
             R = rng.uniform(1e-4, 1e-3, tri.n_vertices)
-            got = solver._inversive_all(Configuration(tri, P, R, tri.faces[0]))
+            got = _inversive_pairs(P, R, u, v)
             Pl, Rl = P.astype(np.longdouble), R.astype(np.longdouble)
             Pl /= np.sqrt(np.sum(Pl * Pl, axis=1))[:, None]
             want = ((np.cos(Rl[u]) * np.cos(Rl[v]) - np.sum(Pl[u] * Pl[v], axis=1))
@@ -754,8 +755,7 @@ class TestDirectLeg:
         tri = oct_tri
         mirrored = Triangulation(
             tri.faces, tri.n_vertices, tri.edges,
-            tuple(nb[::-1] for nb in tri.neighbors),
-            tri.vertex_face_cycles, tri.faces_of_edge)
+            tuple(nb[::-1] for nb in tri.neighbors), tri.faces_of_edge)
         for w in range(tri.n_vertices):
             self._assert_oriented_and_centered(_punctured_start(mirrored, w))
 
@@ -826,8 +826,9 @@ class TestDirectLeg:
         assert rep.converged
         assert [t.s for t in rep.targets] == [1.0] and rep.repairs == 0
         # the first punctured start won, so its record counts every
-        # iteration, the face-gauge polish's included
-        assert rep.targets[0].iterations == rep.iterations == 6
+        # iteration, the face-gauge polish's included: 5 in the free
+        # chart, and none in the polish
+        assert rep.targets[0].iterations == rep.iterations == 5
         assert verify_pattern(geodesic162, cfg, theta).ok
 
 
@@ -870,6 +871,25 @@ class TestRegauge:
         again = regauge(cfg, cfg.gauge_face)
         assert np.allclose(again.centers, cfg.centers, atol=1e-9)
         assert np.allclose(again.radii, cfg.radii, atol=1e-9)
+
+    def test_free_answer_stays_in_tolerance(self, geodesic162):
+        # the gauge-free answer of the first punctured start, moved into
+        # the face gauge, needs no polish: the closed-form boost keeps
+        # the residual below the default tolerance (a Gram-Schmidt boost
+        # left 1.9e-9 here)
+        tri = geodesic162
+        tol = SolveOptions().tolerance
+        target = np.full(tri.n_edges, UNIFORM)
+        first = min(range(tri.n_vertices), key=lambda v: (-tri.degree(v), v))
+        free, ok, _, _, _ = solver._levenberg(
+            _punctured_start(tri, first), target, tol,
+            _layout(tri.n_vertices, None))
+        assert ok
+        moved = regauge(free, tri.faces[0])
+        assert np.max(np.abs(solver._residual_or_none(moved, target))) < tol
+        _, ok, polish, _, _ = solver._levenberg(
+            moved, target, tol, _layout(tri.n_vertices, tri.faces[0]))
+        assert ok and polish == 0
 
 
 def oracle_regauge(cfg, face):

@@ -11,6 +11,10 @@ code with the library:
   back reproduces the angle to 1e-15.
 * ``1.6180339887498945`` -- inversive distance of the antipodal pairs in that
   pattern, 1 + 2*cos(2*pi/5), the golden ratio.
+
+Two earlier formulas stay here as oracles: the boost built by Minkowski
+Gram-Schmidt (`gram_schmidt_boost`), and the Gram form of the edge read,
+`inversive_matrix` taken on one pair.
 """
 
 import math
@@ -21,7 +25,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from katsphere.sphere import (
+    MINKOWSKI_METRIC,
     Cap,
+    _inversive_pairs,
+    boost_to_center,
     cap_contains,
     caps_cover_sphere,
     caps_disjoint,
@@ -33,6 +40,7 @@ from katsphere.sphere import (
     inversive_distance,
     inversive_matrix,
     layout_triple,
+    minkowski_dot,
     nearest_point_on_circle,
     overlap_angle,
     point_in_cap,
@@ -155,6 +163,91 @@ class TestDistances:
         assert mat == pytest.approx(np.array(want), abs=1e-12)
         # a cap meets itself at inversive distance -1 (coincident circles)
         assert np.diag(mat) == pytest.approx(-np.ones(9), abs=1e-12)
+
+
+class TestEdgeKernel:
+    @pytest.mark.parametrize("r1, r2, theta", [
+        (1e-4, 1.3e-4, 2.0 * _PI / 5.0), (1.3e-4, 1.9e-4, 0.9),
+        (1e-4, 1e-4, 2.5), (2e-4, 1.1e-4, 1.3)])
+    def test_small_caps_keep_their_angle(self, r1, r2, theta):
+        # with a = sin^2(r/2), the caps meet at theta exactly when
+        # sin^2(d/2) = (cos theta sin r1 sin r2 + 2 (a1 + a2) - 4 a1 a2) / 2;
+        # the centers sit at +-d/2 from the north pole
+        a1, a2 = math.sin(r1 / 2) ** 2, math.sin(r2 / 2) ** 2
+        half = math.asin(math.sqrt(
+            (math.cos(theta) * math.sin(r1) * math.sin(r2)
+             + 2.0 * (a1 + a2) - 4.0 * a1 * a2) / 2.0))
+        centers = np.array([[math.sin(half), 0.0, math.cos(half)],
+                            [-math.sin(half), 0.0, math.cos(half)]])
+        radii = np.array([r1, r2])
+        got = _inversive_pairs(centers, radii, np.array([0]), np.array([1]))
+        assert abs(math.acos(got[0]) - theta) <= 1e-10
+        # the Gram form cancels: cos r1 cos r2 and p.q agree to 1e-8
+        gram = inversive_matrix(centers, radii)[0, 1]
+        assert abs(math.acos(gram) - theta) > 1e-10
+
+
+def gram_schmidt_boost(q) -> np.ndarray:
+    """The boost of earlier releases: a Minkowski-orthonormal frame of
+    q's orthogonal complement, built by Gram-Schmidt from e1, e2, e3."""
+    q = np.asarray(q, dtype=float)
+    basis = []
+    for k in range(3):
+        v = np.zeros(4)
+        v[k] = 1.0
+        v = v + minkowski_dot(v, q) * q
+        for u in basis:
+            v = v - minkowski_dot(v, u) * u
+        basis.append(v / math.sqrt(minkowski_dot(v, v)))
+    rows = [MINKOWSKI_METRIC @ u for u in basis]
+    rows.append(-(MINKOWSKI_METRIC @ q))
+    return np.vstack(rows)
+
+
+def hyperboloid_point(t: float) -> np.ndarray:
+    """The timelike unit vector (x, t) with x along a fixed generic axis."""
+    axis = np.array([0.48, -0.6, 0.64])
+    return np.append(math.sqrt(t * t - 1.0) * axis, t)
+
+
+def lorentz_defect(boost: np.ndarray) -> float:
+    m = MINKOWSKI_METRIC
+    return float(np.max(np.abs(boost.T @ m @ boost - m)))
+
+
+class TestBoostToCenter:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("t", [1.0, 1.5, 40.7, 400.0])
+    def test_moves_the_point_home_and_stays_lorentz(self, t):
+        q = hyperboloid_point(t)
+        boost = boost_to_center(q)
+        bound = 64.0 * self.EPS * t * t
+        assert np.max(np.abs(boost @ q - [0.0, 0.0, 0.0, 1.0])) <= bound
+        assert lorentz_defect(boost) <= bound
+
+    def test_gram_schmidt_loses_the_bound_far_out(self):
+        t = 400.0
+        assert lorentz_defect(gram_schmidt_boost(hyperboloid_point(t))) \
+            > 64.0 * self.EPS * t * t
+
+    def test_differs_from_gram_schmidt_by_a_rotation(self):
+        # both move q home, so B_gs B^-1 fixes e4: a rotation of R^3
+        q = hyperboloid_point(40.7)
+        boost = boost_to_center(q)
+        inverse = MINKOWSKI_METRIC @ boost.T @ MINKOWSKI_METRIC
+        rot = gram_schmidt_boost(q) @ inverse
+        e4 = np.array([0.0, 0.0, 0.0, 1.0])
+        assert np.max(np.abs(rot[3] - e4)) <= 1e-9
+        assert np.max(np.abs(rot[:, 3] - e4)) <= 1e-9
+        block = rot[:3, :3]
+        assert np.max(np.abs(block.T @ block - np.eye(3))) <= 1e-9
+
+    def test_rejects_points_off_the_upper_sheet(self):
+        with pytest.raises(PreconditionViolated):
+            boost_to_center([0.0, 0.0, 0.0, -1.0])
+        with pytest.raises(PreconditionViolated):
+            boost_to_center([0.5, 0.0, 0.0, 1.0])
 
 
 class TestOverlapAngle:
