@@ -206,17 +206,17 @@ def cmd_degenerate(args) -> int:
     for step, t in enumerate(ts):
         theta = AngleAssignment(
             {e: (1.0 - t) * start[e] + t * end[e] for e in tri.edges})
-        adm = check_admissible(tri, theta)
-        if not adm.ok:
+        try:
+            cfg, rep = solve(tri, theta)
+        except ConditionsViolated as exc:     # solve checks admissibility first
             if step == 0:
-                _print_condition_report(adm, out=sys.stderr)
+                _print_condition_report(exc.args[0], out=sys.stderr)
                 print("the family starts outside the admissible set",
                       file=sys.stderr)
                 return EXIT_GATE
             failed = True
             rows.append([step, repr(t), "outside", "", "", "", "", ""])
             continue
-        cfg, rep = solve(tri, theta)
         if not rep.converged:
             failed = True
             rows.append([step, repr(t), "stalled",

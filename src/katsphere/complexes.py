@@ -1,15 +1,19 @@
 """Oriented sphere triangulations and their trivalent duals.
 
-A triangulation is given as a list of oriented triangles over vertices
-0..n-1.  Validation enforces that the face list encodes a simplicial
-triangulation of the 2-sphere with more than four vertices; everything
-else here (rotation system, curve enumeration, dualization) is derived
-from that face list alone.
+Both are given as lists of oriented face cycles over vertices 0..n-1,
+and both builders run one surface check on that list: dense vertex ids,
+every directed edge once and its reverse once, Euler characteristic 2,
+every vertex link a single cycle in the rotation that check walks, and
+connectivity over that rotation.  On top of it a triangulation needs
+triangles, no two faces on one vertex set and more than four vertices;
+a dual complex needs every vertex of degree 3.  Everything else here
+(curve enumeration, dualization, primalization) is derived from the
+face list and its rotation alone.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -181,45 +185,66 @@ def build_triangulation(faces: Iterable[Iterable[int]]) -> Triangulation:
             raise NotSimple(f"two faces share the vertex set {sorted(f)}")
         seen_sets.add(key)
 
-    vertices = sorted({v for f in face_list for v in f})
+    n, edges, neighbors, faces_of_edge = _oriented_sphere(face_list)
+    if n <= 4:
+        raise TooFewVertices(f"{n} vertices; at least 5 required")
+    return Triangulation(tuple(face_list), n, edges, neighbors,
+                         faces_of_edge)
+
+
+def _oriented_sphere(faces: list[tuple[int, ...]]) -> tuple[
+        int, tuple[Edge, ...], tuple[tuple[int, ...], ...],
+        dict[Edge, tuple[int, int]]]:
+    """Check that oriented face cycles form a connected closed surface of
+    Euler characteristic 2, the sphere, on the vertices 0..n-1.
+
+    Returns n, the sorted edges, the rotation (each vertex's neighbors
+    in cyclic order) and the two faces of each edge, the face of the
+    direction seen first leading.  Raises NotSimple, NotManifold or
+    NotSphere.
+    """
+    vertices = sorted({v for f in faces for v in f})
     n = vertices[-1] + 1
     if vertices != list(range(n)):
         raise NotSimple("vertex indices are not dense from 0")
-    if n <= 4:
-        raise TooFewVertices(f"{n} vertices; at least 5 required")
 
     # Each directed edge must appear exactly once; the reverse once too.
-    directed: dict[tuple[int, int], int] = {}
-    for fi, (a, b, c) in enumerate(face_list):
-        for u, v in ((a, b), (b, c), (c, a)):
-            if (u, v) in directed:
-                raise NotManifold(f"directed edge {u}->{v} appears twice")
-            directed[(u, v)] = fi
-    for (u, v) in directed:
-        if (v, u) not in directed:
-            raise NotManifold(f"edge {{{u},{v}}} lacks a second face")
-
-    edges = tuple(sorted({norm_edge(u, v) for (u, v) in directed}))
-    if n - len(edges) + len(face_list) != 2:
-        raise NotSphere(
-            f"Euler characteristic {n - len(edges) + len(face_list)} != 2")
-
-    # Rotation system: inside face (v, x, y) the successor of x around v is y.
-    succ: list[dict[int, int]] = [dict() for _ in range(n)]
-    for (a, b, c) in face_list:
-        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+    # Rotation: at the corner (y, v, x) of a face, the successor of x
+    # around v is y.  The corners start at f[0], so the edges of a face
+    # enter faces_of_edge in the order f[0]->f[1], f[1]->f[2], ...
+    face_of: dict[tuple[int, int], int] = {}
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    for fi, f in enumerate(faces):
+        y, v = f[-1], f[0]
+        for x in f[1:] + f[:1]:
+            if (v, x) in face_of:
+                raise NotManifold(f"directed edge {v}->{x} appears twice")
+            face_of[v, x] = fi
             succ[v][x] = y
+            y, v = v, x
+    faces_of_edge: dict[Edge, tuple[int, int]] = {}
+    for (u, v), fi in face_of.items():
+        e = (u, v) if u < v else (v, u)
+        if e not in faces_of_edge:
+            if (v, u) not in face_of:
+                raise NotManifold(f"edge {{{u},{v}}} lacks a second face")
+            faces_of_edge[e] = (fi, face_of[v, u])
+
+    edges = tuple(sorted(faces_of_edge))
+    if n - len(edges) + len(faces) != 2:
+        raise NotSphere(
+            f"Euler characteristic {n - len(edges) + len(faces)} != 2")
+
+    # Every directed edge has its reverse, so each succ[v] permutes the
+    # neighbors of v and the walk from any of them closes up.
     neighbors: list[tuple[int, ...]] = []
-    for v in range(n):
-        nb = succ[v]
+    for v, nb in enumerate(succ):
         start = next(iter(nb))
         cycle = [start]
-        cur = nb[start]
-        while cur != start:
-            cycle.append(cur)
-            if len(cycle) > len(nb):
-                raise NotManifold(f"link of vertex {v} is not a single cycle")
-            cur = nb[cur]
+        x = nb[start]
+        while x != start:
+            cycle.append(x)
+            x = nb[x]
         if len(cycle) != len(nb):
             raise NotManifold(f"link of vertex {v} is not a single cycle")
         neighbors.append(tuple(cycle))
@@ -236,15 +261,7 @@ def build_triangulation(faces: Iterable[Iterable[int]]) -> Triangulation:
     if len(reached) < n:
         raise NotSphere(
             f"{n - len(reached)} vertices are not connected to vertex 0")
-
-    faces_of_edge: dict[Edge, tuple[int, int]] = {}
-    for (u, v), fi in directed.items():
-        e = norm_edge(u, v)
-        if e not in faces_of_edge:
-            faces_of_edge[e] = (fi, directed[(v, u)])
-
-    return Triangulation(tuple(face_list), n, edges, tuple(neighbors),
-                         faces_of_edge)
+    return n, edges, tuple(neighbors), faces_of_edge
 
 
 def two_edge_arcs(tri: Triangulation) -> tuple[CurveReport, ...]:
@@ -332,10 +349,12 @@ class DualComplex:
 
     def __init__(self, faces: tuple[tuple[int, ...], ...], n_vertices: int,
                  edges: tuple[Edge, ...],
+                 neighbors: tuple[tuple[int, ...], ...],
                  faces_of_edge: dict[Edge, tuple[int, int]]):
         self.faces = faces
         self.n_vertices = n_vertices
         self.edges = edges
+        self.neighbors = neighbors              # cyclic rotation order per vertex
         self.faces_of_edge = faces_of_edge
 
     @property
@@ -352,7 +371,14 @@ class DualComplex:
 
 
 def build_dual_complex(faces: Iterable[Iterable[int]]) -> DualComplex:
-    """Validate a trivalent oriented polyhedral complex given by face cycles."""
+    """Validate a trivalent oriented polyhedral complex given by face cycles.
+
+    Raises NotSimple for a face of fewer than three vertices, a repeated
+    vertex or ids not dense from 0; NotManifold when a directed edge
+    appears twice or lacks its reverse; NotSphere for an empty list, an
+    Euler characteristic other than 2 or a disconnected complex; and
+    NotTrivalent when a vertex does not have degree 3.
+    """
     face_list: list[tuple[int, ...]] = []
     for f in faces:
         tf = tuple(int(x) for x in f)
@@ -363,41 +389,12 @@ def build_dual_complex(faces: Iterable[Iterable[int]]) -> DualComplex:
         face_list.append(tf)
     if not face_list:
         raise NotSphere("empty face list")
-    verts = sorted({v for f in face_list for v in f})
-    n = verts[-1] + 1 if verts else 0
-    if verts != list(range(n)):
-        raise NotSimple("vertex indices are not dense from 0")
 
-    directed: dict[tuple[int, int], int] = {}
-    for fi, f in enumerate(face_list):
-        d = len(f)
-        for i in range(d):
-            u, v = f[i], f[(i + 1) % d]
-            if (u, v) in directed:
-                raise NotManifold(f"directed edge {u}->{v} appears twice")
-            directed[(u, v)] = fi
-    for (u, v) in directed:
-        if (v, u) not in directed:
-            raise NotManifold(f"edge {{{u},{v}}} lacks a second face")
-
-    deg = defaultdict(int)
-    for (u, v) in directed:
-        deg[u] += 1
-    for v in range(n):
-        if deg[v] != 3:
-            raise NotTrivalent(f"vertex {v} has degree {deg[v]}, expected 3")
-
-    edges = tuple(sorted({norm_edge(u, v) for (u, v) in directed}))
-    if n - len(edges) + len(face_list) != 2:
-        raise NotSphere(
-            f"Euler characteristic {n - len(edges) + len(face_list)} != 2")
-
-    faces_of_edge: dict[Edge, tuple[int, int]] = {}
-    for (u, v), fi in directed.items():
-        e = norm_edge(u, v)
-        if e not in faces_of_edge:
-            faces_of_edge[e] = (fi, directed[(v, u)])
-    return DualComplex(tuple(face_list), n, edges, faces_of_edge)
+    n, edges, neighbors, faces_of_edge = _oriented_sphere(face_list)
+    for v, nb in enumerate(neighbors):
+        if len(nb) != 3:
+            raise NotTrivalent(f"vertex {v} has degree {len(nb)}, expected 3")
+    return DualComplex(tuple(face_list), n, edges, neighbors, faces_of_edge)
 
 
 def dualize(tri: Triangulation) -> DualComplex:
@@ -417,36 +414,23 @@ def primalize(dual: DualComplex) -> PrimalizeResult:
     the dual edge {w1, w2} maps to the primal edge joining the two dual
     faces that contain it.
     """
-    # Corner (a, w, b) of a face cycle: edges {a,w} and {w,b} meet at w.
-    # Around w, the face whose corner leaves through b follows this one.
-    corners: dict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
-    for fi, f in enumerate(dual.faces):
-        d = len(f)
-        for i in range(d):
-            a, w, b = f[(i - 1) % d], f[i], f[(i + 1) % d]
-            corners[w][a] = (fi, b)
+    # Around w with rotation (a, b, c), the face leaving w towards a lies
+    # between the edges to a and to b, so it is the face those two share;
+    # the triangle of w lists the faces leaving towards b, c and a.
+    fe = dual.faces_of_edge
     triangles = []
-    for w in range(dual.n_vertices):
-        entry = corners[w]
-        a0 = next(iter(entry))
-        cyc = []
-        a = a0
-        for _ in range(3):
-            fi, b = entry[a]
-            cyc.append(fi)
-            a = b
-        if a != a0 or len(set(cyc)) != 3:
-            raise NotTrivalent(f"faces around dual vertex {w} do not close up")
-        # the corner chain walks clockwise around w, so flip to restore
-        # the orientation the dual faces came from
-        triangles.append(tuple(reversed(cyc)))
+    for w, (a, b, c) in enumerate(dual.neighbors):
+        ea, eb = fe[norm_edge(w, a)], fe[norm_edge(w, b)]
+        ec = fe[norm_edge(w, c)]
+        triangles.append((_common_face(eb, ec), _common_face(ec, ea),
+                          _common_face(ea, eb)))
     tri = build_triangulation(triangles)
-    edge_map: dict[Edge, Edge] = {}
-    for e, (f1, f2) in dual.faces_of_edge.items():
-        edge_map[e] = norm_edge(f1, f2)
-    if set(edge_map.values()) != set(tri.edges):
-        raise NotManifold("dual edges do not biject onto primal edges")
+    edge_map = {e: norm_edge(f1, f2) for e, (f1, f2) in fe.items()}
     return PrimalizeResult(tri, edge_map)
+
+
+def _common_face(p: tuple[int, int], q: tuple[int, int]) -> int:
+    return p[0] if p[0] in q else p[1]
 
 
 def prismatic_circuits(dual: DualComplex, k: int) -> tuple[CurveReport, ...]:

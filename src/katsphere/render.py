@@ -20,10 +20,9 @@ from .sphere import _elementwise, fibonacci_sphere
 _POLE_CANDIDATES = 400
 
 
-def choose_projection_pole(cfg, candidates: int = _POLE_CANDIDATES
-                           ) -> np.ndarray:
+def choose_projection_pole(cfg) -> np.ndarray:
     """Point with the largest clearance from circles and centers."""
-    probes = fibonacci_sphere(candidates)
+    probes = fibonacci_sphere(_POLE_CANDIDATES)
     # the candidates x caps arrays are a render's largest allocation:
     # two of them, updated in place
     dist = probes @ cfg.centers.T

@@ -330,8 +330,7 @@ class LayoutReport:
     degenerate_faces: tuple[tuple[int, int, int], ...]
 
 
-def check_center_triangulation(tri: Triangulation, cfg,
-                               excess_tol: float = EXCESS_TOL) -> LayoutReport:
+def check_center_triangulation(tri: Triangulation, cfg) -> LayoutReport:
     """The centers must span a geodesic triangulation of the sphere.
 
     Each face's center triple has to be positively oriented for the
@@ -343,7 +342,7 @@ def check_center_triangulation(tri: Triangulation, cfg,
     flipped = tuple(compress(tri.faces, ex < 0.0))
     degenerate = tuple(compress(tri.faces, ex == 0.0))
     ok = (not flipped and not degenerate
-          and abs(total - 4.0 * _PI) <= excess_tol)
+          and abs(total - 4.0 * _PI) <= EXCESS_TOL)
     return LayoutReport(ok, total, flipped, degenerate)
 
 
@@ -412,8 +411,7 @@ def _gauge_in_position(cfg) -> bool:
 
 
 def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
-                   samples: int = 20000,
-                   angle_tol: float = ANGLE_TOL) -> VerificationReport:
+                   samples: int = 20000) -> VerificationReport:
     """Run the full diagnostic battery on a configuration.
 
     The four headline flags form a chain: matching the target angles
@@ -434,7 +432,7 @@ def verify_pattern(tri: Triangulation, cfg, theta: AngleAssignment,
         target = np.array([theta[e] for e in tri.edges])
         err = float(np.max(np.abs(np.arccos(e_inv) - target)))
     in_contact = contact.ok
-    in_target = in_contact and err <= angle_tol
+    in_target = in_contact and err <= ANGLE_TOL
     in_gauge = in_target and _gauge_in_position(cfg)
     in_irr = in_gauge and irr.ok
     return VerificationReport(

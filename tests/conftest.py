@@ -62,6 +62,30 @@ def octahedron_plus_torus(oct_tri):
 
 
 @pytest.fixture(scope="session")
+def cube_plus_torus_dual(octahedron_plus_torus):
+    """Face cycles dual to octahedron_plus_torus: the cube beside the
+    hexagonal dual of the grid torus, 80 trivalent vertices (8 + 72) with
+    Euler characteristic 2 + 0.  Dual vertex i is triangle i; the faces
+    around each primal vertex are walked on the face list itself, in the
+    order of Triangulation.vertex_face_cycles."""
+    succ = {}
+    for fi, (a, b, c) in enumerate(octahedron_plus_torus):
+        for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
+            succ.setdefault(v, {})[x] = (y, fi)
+    cycles = []
+    for v in sorted(succ):
+        start = x = next(iter(succ[v]))
+        cycle = []
+        while True:
+            x, fi = succ[v][x]
+            cycle.append(fi)
+            if x == start:
+                break
+        cycles.append(cycle)
+    return cycles
+
+
+@pytest.fixture(scope="session")
 def solved_oct(oct_tri):
     theta = AngleAssignment.constant(oct_tri, 2.0 * math.pi / 5.0)
     cfg, rep = solve(oct_tri, theta)

@@ -106,6 +106,22 @@ class TestValidate:
         assert code == cli.EXIT_PARSE
         assert "not connected" in capsys.readouterr().err
 
+    def test_disconnected_dual_is_a_parse_error(self, cube_plus_torus_dual,
+                                                tmp_path, capsys):
+        # the dual builder names the 72 torus vertices it cannot reach
+        dual_path = tmp_path / "union-dual.json"
+        dual_path.write_text(json.dumps({"dual_faces": cube_plus_torus_dual}))
+        edges = sorted({(min(a, b), max(a, b))
+                        for f in cube_plus_torus_dual
+                        for a, b in zip(f, f[1:] + f[:1])})
+        angles_path = tmp_path / "dual-angles.json"
+        angles_path.write_text(json.dumps({"edges": [
+            {"u": u, "v": v, "theta": GOLDEN} for u, v in edges]}))
+        code = cli.main(["validate", str(dual_path), str(angles_path),
+                         "--dual"])
+        assert code == cli.EXIT_PARSE
+        assert "72 vertices are not connected" in capsys.readouterr().err
+
 
 def json_edges(cli_ws):
     data = json.loads(cli_ws["angles"].read_text())

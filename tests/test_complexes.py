@@ -99,6 +99,76 @@ def oracle_separating4(tri):
     return out
 
 
+def oracle_surface(faces):
+    """Sorted edges, rotation and faces of each edge of oriented face
+    cycles, by separate loops: a directed-edge table, a successor table
+    (inside a face, the successor of the next vertex around v is the
+    previous one) walked from its first entry at every vertex, and a scan
+    of the directed edges in table order."""
+    directed = {}
+    succ = {}
+    for fi, f in enumerate(faces):
+        d = len(f)
+        for i in range(d):
+            directed[(f[i], f[(i + 1) % d])] = fi
+            succ.setdefault(f[i], {})[f[(i + 1) % d]] = f[i - 1]
+    neighbors = []
+    for v in range(len(succ)):
+        nb = succ[v]
+        start = next(iter(nb))
+        cycle = [start]
+        while nb[cycle[-1]] != start:
+            cycle.append(nb[cycle[-1]])
+        neighbors.append(tuple(cycle))
+    faces_of_edge = {}
+    for (u, v), fi in directed.items():
+        if norm_edge(u, v) not in faces_of_edge:
+            faces_of_edge[norm_edge(u, v)] = (fi, directed[(v, u)])
+    return tuple(sorted(faces_of_edge)), tuple(neighbors), faces_of_edge
+
+
+def oracle_primal_faces(dual):
+    """Triangles of the primal, by a walk over the corners of the dual
+    faces: at the corner (a, w, b) of face fi, the next face around w is
+    the one whose corner at w starts from b.  That walk runs clockwise,
+    so each triangle is its reverse."""
+    corners = {}
+    for fi, f in enumerate(dual.faces):
+        d = len(f)
+        for i in range(d):
+            corners.setdefault(f[i], {})[f[i - 1]] = (fi, f[(i + 1) % d])
+    triangles = []
+    for w in range(dual.n_vertices):
+        entry = corners[w]
+        a = next(iter(entry))
+        cycle = []
+        for _ in range(3):
+            fi, a = entry[a]
+            cycle.append(fi)
+        triangles.append(tuple(reversed(cycle)))
+    return tuple(triangles)
+
+
+def assert_structure_matches_oracles(faces):
+    """Exact equality, values and order, of the triangulation, its dual
+    and the primal of that dual with the oracle loops."""
+    tri = build_triangulation(faces)
+    dual = dualize(tri)
+    for cx in (tri, dual):
+        edges, neighbors, faces_of_edge = oracle_surface(cx.faces)
+        assert cx.edges == edges
+        assert cx.neighbors == neighbors
+        assert list(cx.faces_of_edge.items()) == list(faces_of_edge.items())
+    assert tri.faces == tuple(tuple(f) for f in faces)
+    prim, edge_map = primalize(dual)
+    assert prim.faces == oracle_primal_faces(dual)
+    assert list(edge_map.items()) == [
+        (e, norm_edge(f1, f2)) for e, (f1, f2) in dual.faces_of_edge.items()]
+    # the round trip keeps every face up to where its cycle starts
+    for p, (a, b, c) in zip(prim.faces, tri.faces):
+        assert p in ((a, b, c), (b, c, a), (c, a, b))
+
+
 def oracle_cycle_sides(tri, cycle):
     """Vertex counts strictly inside the two sides of an embedded cycle.
 
@@ -452,6 +522,18 @@ class TestDuality:
         with pytest.raises(NotTrivalent):
             build_dual_complex(oct_tri.faces)
 
+    def test_disconnected_dual_not_sphere(self, cube_plus_torus_dual):
+        # chi = 2 + 0 and every vertex trivalent; the 72 torus vertices
+        # are out of reach of the cube's vertex 0
+        with pytest.raises(NotSphere, match="72 vertices are not connected"):
+            build_dual_complex(cube_plus_torus_dual)
+
+    @pytest.mark.parametrize(
+        "tri", CATALOG + [geodesic(1)[0], geodesic(2)[0]],
+        ids=lambda t: f"V{t.n_vertices}F{len(t.faces)}")
+    def test_structure_matches_oracles(self, tri):
+        assert_structure_matches_oracles(tri.faces)
+
     @pytest.mark.parametrize("tri", CATALOG, ids=lambda t: f"V{t.n_vertices}F{len(t.faces)}")
     def test_primalize_round_trip(self, tri):
         result = primalize(dualize(tri))
@@ -547,3 +629,9 @@ def test_random_stacked_sphere_invariants(faces):
 def test_random_stacked_sphere_duality(faces):
     tri = build_triangulation(faces)
     assert is_isomorphic(primalize(dualize(tri)).triangulation, tri)
+
+
+@settings(max_examples=30, deadline=None)
+@given(faces=stacked_sphere())
+def test_random_stacked_sphere_matches_oracles(faces):
+    assert_structure_matches_oracles(faces)
