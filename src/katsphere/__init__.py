@@ -13,7 +13,6 @@ from .angles import (
     check_admissible,
     check_admissible_strict,
     check_dual_admissible,
-    interpolate,
     transport_dual_angles,
 )
 from .catalog import bipyramid, icosahedron, octahedron, stacked_tetrahedra
@@ -95,7 +94,6 @@ __all__ = [
     "gauge_normalize",
     "icosahedron",
     "initial_configuration",
-    "interpolate",
     "inversive_distance",
     "octahedron",
     "overlap_angle",

@@ -74,17 +74,6 @@ class AngleAssignment:
                 f"extra {extra[:5]}")
 
 
-def interpolate(theta: AngleAssignment, s: float) -> AngleAssignment:
-    """Straight-line interpolation from the uniform pi/3 assignment.
-
-    s = 0 gives constant pi/3, s = 1 returns theta itself.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"interpolation parameter {s} outside [0, 1]")
-    return AngleAssignment(
-        {e: s * th + (1.0 - s) * (_PI / 3.0) for e, th in theta.items()})
-
-
 @dataclass(frozen=True)
 class ConditionViolation:
     condition: str        # arc_pair | face_triple | separating3 | separating4

@@ -318,24 +318,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, ComplexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ComplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConditionsViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    except (PreconditionViolated, PolyhedronError) as exc:
+    # ConditionsViolated is a SolverError, so it is caught first
+    except (ConditionsViolated, PreconditionViolated, PolyhedronError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 if __name__ == "__main__":

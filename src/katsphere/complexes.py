@@ -6,14 +6,15 @@ every directed edge once and its reverse once, Euler characteristic 2,
 every vertex link a single cycle in the rotation that check walks, and
 connectivity over that rotation.  On top of it a triangulation needs
 triangles, no two faces on one vertex set and more than four vertices;
-a dual complex needs every vertex of degree 3.  Everything else here
-(curve enumeration, dualization, primalization) is derived from the
-face list and its rotation alone.
+a dual complex needs every vertex of degree 3.  Both classes share one
+surface class holding what that check derives: the faces, the vertex
+count, the sorted edges, the rotation and the two faces of each edge.
+Everything else here (curve enumeration, dualization, primalization) is
+derived from the face list and its rotation alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -51,13 +52,11 @@ class CurveReport:
     edges: tuple[Edge, ...]
 
 
-class Triangulation:
-    """Immutable oriented triangulation of the sphere.
+class _Surface:
+    """Oriented sphere given by face cycles, with what _oriented_sphere
+    derives from them; do not mutate fields after construction."""
 
-    Built via build_triangulation; do not mutate fields after construction.
-    """
-
-    def __init__(self, faces: tuple[Face, ...], n_vertices: int,
+    def __init__(self, faces: tuple[tuple[int, ...], ...], n_vertices: int,
                  edges: tuple[Edge, ...],
                  neighbors: tuple[tuple[int, ...], ...],
                  faces_of_edge: dict[Edge, tuple[int, int]]):
@@ -65,9 +64,7 @@ class Triangulation:
         self.n_vertices = n_vertices
         self.edges = edges                      # sorted; fixes coordinate order
         self.neighbors = neighbors              # cyclic rotation order per vertex
-        self.adjacent = tuple(frozenset(nb) for nb in neighbors)
         self.faces_of_edge = faces_of_edge
-        self.face_index = {frozenset(f): i for i, f in enumerate(faces)}
 
     @property
     def n_faces(self) -> int:
@@ -76,6 +73,25 @@ class Triangulation:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(V={self.n_vertices}, "
+                f"E={self.n_edges}, F={self.n_faces})")
+
+
+class Triangulation(_Surface):
+    """Immutable oriented triangulation of the sphere.
+
+    Built via build_triangulation; do not mutate fields after construction.
+    """
+
+    @cached_property
+    def adjacent(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(nb) for nb in self.neighbors)
+
+    @cached_property
+    def face_index(self) -> dict[frozenset[int], int]:
+        return {frozenset(f): i for i, f in enumerate(self.faces)}
 
     def degree(self, v: Vertex) -> int:
         return len(self.neighbors[v])
@@ -146,10 +162,6 @@ class Triangulation:
         if self.n_vertices != 5:
             return False
         return sum(1 for v in range(5) if self.degree(v) == 3) == 2
-
-    def __repr__(self) -> str:
-        return (f"Triangulation(V={self.n_vertices}, E={self.n_edges}, "
-                f"F={self.n_faces})")
 
 
 def _frozen_index_array(rows, width: int) -> np.ndarray:
@@ -344,30 +356,8 @@ def _four_cycles(tri: Triangulation) -> list[tuple[int, int, int, int]]:
 
 # -- dual complex ------------------------------------------------------------
 
-class DualComplex:
+class DualComplex(_Surface):
     """Oriented trivalent complex on the sphere (faces as vertex cycles)."""
-
-    def __init__(self, faces: tuple[tuple[int, ...], ...], n_vertices: int,
-                 edges: tuple[Edge, ...],
-                 neighbors: tuple[tuple[int, ...], ...],
-                 faces_of_edge: dict[Edge, tuple[int, int]]):
-        self.faces = faces
-        self.n_vertices = n_vertices
-        self.edges = edges
-        self.neighbors = neighbors              # cyclic rotation order per vertex
-        self.faces_of_edge = faces_of_edge
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.faces)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def __repr__(self) -> str:
-        return (f"DualComplex(V={self.n_vertices}, E={self.n_edges}, "
-                f"F={self.n_faces})")
 
 
 def build_dual_complex(faces: Iterable[Iterable[int]]) -> DualComplex:
@@ -453,55 +443,3 @@ def prismatic_circuits(dual: DualComplex, k: int) -> tuple[CurveReport, ...]:
             out.append(CurveReport(kind=f"prismatic{k}", vertices=rep.vertices,
                                    edges=rep.edges))
     return tuple(out)
-
-
-# -- isomorphism -------------------------------------------------------------
-
-def _canonical_encoding(tri: Triangulation) -> tuple:
-    """Minimum over starting flags of a BFS relabeling of the rotation system.
-
-    Two oriented triangulations have equal encodings exactly when an
-    orientation-preserving relabeling carries one to the other.
-    """
-    best = None
-    for u in range(tri.n_vertices):
-        for v in tri.neighbors[u]:
-            enc = _encode_from(tri, u, v)
-            if best is None or enc < best:
-                best = enc
-    return best  # type: ignore[return-value]
-
-
-def _encode_from(tri: Triangulation, u: int, v: int) -> tuple:
-    label = {u: 0, v: 1}
-    order = [u, v]
-    ref = {u: v}  # reference neighbor used to start each rotation scan
-    # v's reference is u (guaranteed adjacent)
-    ref[v] = u
-    queue = deque([u, v])
-    rows = []
-    seen_rows = {}
-    while queue:
-        x = queue.popleft()
-        nb = tri.neighbors[x]
-        i = nb.index(ref[x])
-        scan = nb[i:] + nb[:i]
-        row = []
-        for y in scan:
-            if y not in label:
-                label[y] = len(order)
-                order.append(y)
-                ref[y] = x
-                queue.append(y)
-            row.append(label[y])
-        seen_rows[label[x]] = tuple(row)
-    for i in range(len(order)):
-        rows.append(seen_rows[i])
-    return tuple(rows)
-
-
-def is_isomorphic(a: Triangulation, b: Triangulation) -> bool:
-    """Orientation-preserving combinatorial isomorphism test."""
-    if (a.n_vertices, a.n_edges, a.n_faces) != (b.n_vertices, b.n_edges, b.n_faces):
-        return False
-    return _canonical_encoding(a) == _canonical_encoding(b)

@@ -11,6 +11,8 @@ leaves, written exactly as `arr.tolist()` would be, one row template
 per array; writers pass their vector fields as arrays.  All readers
 validate shape strictly and raise ParseError with the offending path;
 geometric or combinatorial validity is left to the owning modules.
+Vertex ids must be JSON integers: the readers test `type(v) is int`,
+which turns away true and false (Python's bool subclasses int).
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def load_complex(path) -> tuple[str, Triangulation]:
             f"{path}: 'faces' must be a non-empty list")
     for i, f in enumerate(faces):
         _expect(isinstance(f, list) and len(f) == 3
-                and all(isinstance(v, int) for v in f),
+                and all(type(v) is int for v in f),
                 f"{path}: faces[{i}] must be three integer vertex ids")
     name = data.get("name", "")
     _expect(isinstance(name, str), f"{path}: 'name' must be a string")
@@ -144,7 +146,7 @@ def load_dual(path) -> tuple[str, DualComplex]:
             f"{path}: 'dual_faces' must be a non-empty list")
     for i, f in enumerate(faces):
         _expect(isinstance(f, list) and len(f) >= 3
-                and all(isinstance(v, int) for v in f),
+                and all(type(v) is int for v in f),
                 f"{path}: dual_faces[{i}] must be a cyclic list of >= 3 "
                 f"integer vertex ids")
     name = data.get("name", "")
@@ -172,7 +174,7 @@ def _read_angles(path, entries, label: str,
         if not (isinstance(item, dict) and {"u", "v", "theta"} <= item.keys()):
             raise ParseError(f"{path}: {label}[{i}] needs keys u, v, theta")
         u, v, th = item["u"], item["v"], item["theta"]
-        if not (isinstance(u, int) and isinstance(v, int) and u < v):
+        if not (type(u) is int and type(v) is int and u < v):
             raise ParseError(f"{path}: {label}[{i}] must have integer u < v")
         if not _finite_number(th):
             raise ParseError(f"{path}: {label}[{i}].theta must be a number")
@@ -255,7 +257,7 @@ def load_pattern(path, tri: Triangulation):
             f"{path}: 'radii' must list {n} finite numbers")
     gauge = data["gauge_face"]
     _expect(isinstance(gauge, list) and len(gauge) == 3
-            and all(isinstance(v, int) for v in gauge),
+            and all(type(v) is int for v in gauge),
             f"{path}: 'gauge_face' must be three vertex ids")
     _expect(tri.is_face(*gauge), f"{path}: gauge_face {gauge} is not a face")
     report = data.get("report", {})

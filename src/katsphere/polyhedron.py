@@ -37,7 +37,6 @@ from .sphere import (
 from .verify import check_contact_graph, check_separating_triples
 
 CONVEXITY_TOL = 1e-9    # slack allowed on half-space membership
-INCIDENCE_TOL = 1e-9    # drift of a vertex off its defining planes
 SLACK_BLOCK_FLOATS = 1 << 18   # face x cap slacks held at once, about
 
 

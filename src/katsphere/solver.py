@@ -161,10 +161,12 @@ def _require_oriented_face(tri: Triangulation, face) -> tuple[int, int, int]:
     f = tuple(int(v) for v in face)
     if len(f) != 3:
         raise NotAFace(f"gauge face must have three vertices, got {f}")
-    for stored in tri.faces:
-        for k in range(3):
-            if f == stored[k:] + stored[:k]:
-                return stored
+    i = tri.face_index.get(frozenset(f))
+    if i is not None:
+        stored = tri.faces[i]
+        k = stored.index(f[0])
+        if f == stored[k:] + stored[:k]:
+            return stored
     raise NotAFace(f"{f} is not an oriented face of the triangulation")
 
 
@@ -327,27 +329,23 @@ def _punctured_start(tri: Triangulation, w: int) -> Configuration:
     from w is a convex triangle.  Inverse stereographic projection lifts
     the drawing to the sphere with w at the north pole, and Lorentz
     boosts that move the centroid of the centers to the ball center
-    spread the vertices out (Moebius centering).  If fewer than half of
-    the lifted faces turn like the face gauge (positive face_excesses),
-    the link is laid out counterclockwise instead.  Each radius is
+    spread the vertices out (Moebius centering).  The builders derive
+    the rotation in the direction of the faces, so every lifted face
+    turns like the face gauge (positive face_excesses).  Each radius is
     TUTTE_RADIUS times the longest edge at its vertex.
     """
     link = tri.neighbors[w]
-    for turn in (-1.0, 1.0):
-        angle = turn * 2.0 * _PI * np.arange(len(link)) / len(link)
-        ring = np.column_stack([np.cos(angle), np.sin(angle)])
-        circle = dict(zip(link, ring))
-        free, plane = _harmonic(tri, {w, *link}, lambda v, u: circle[u])
-        xy = np.zeros((tri.n_vertices, 2))
-        xy[free] = plane
-        xy[list(link)] = ring
-        q = _rowdot(xy, xy)
-        P = np.column_stack([2.0 * xy, q - 1.0]) / (q + 1.0)[:, None]
-        P[w] = (0.0, 0.0, 1.0)
-        P = _moebius_center(P)
-        if 2 * np.count_nonzero(face_excesses(P, tri.face_array) > 0.0) \
-                >= tri.n_faces:
-            break
+    angle = -2.0 * _PI * np.arange(len(link)) / len(link)
+    ring = np.column_stack([np.cos(angle), np.sin(angle)])
+    circle = dict(zip(link, ring))
+    free, plane = _harmonic(tri, {w, *link}, lambda v, u: circle[u])
+    xy = np.zeros((tri.n_vertices, 2))
+    xy[free] = plane
+    xy[list(link)] = ring
+    q = _rowdot(xy, xy)
+    P = np.column_stack([2.0 * xy, q - 1.0]) / (q + 1.0)[:, None]
+    P[w] = (0.0, 0.0, 1.0)
+    P = _moebius_center(P)
 
     u, v = tri.edge_array.T
     length = np.arccos(np.clip(_rowdot(P[u], P[v]), -1.0, 1.0))

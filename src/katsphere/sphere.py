@@ -426,14 +426,6 @@ def layout_triple(radii, angles) -> ThreeCircleLayout:
                              (ang_i, ang_j, ang_k))
 
 
-def excess_lhuilier(l1: float, l2: float, l3: float) -> float:
-    """Spherical excess (area) of a triangle from its side lengths."""
-    s = 0.5 * (l1 + l2 + l3)
-    prod = (math.tan(0.5 * s) * math.tan(0.5 * (s - l1))
-            * math.tan(0.5 * (s - l2)) * math.tan(0.5 * (s - l3)))
-    return 4.0 * math.atan(math.sqrt(max(0.0, prod)))
-
-
 def signed_excess(p_i, p_j, p_k) -> float:
     """Signed area of the geodesic triangle spanned by three centers.
 

@@ -26,6 +26,7 @@ import numpy as np
 from .angles import AngleAssignment
 from .complexes import Triangulation, separating_cycles
 from .sphere import (
+    _clamped_acos,
     _inversive_pairs,
     _rowdot,
     circle_intersections,
@@ -287,7 +288,7 @@ def _tangency_diagnostics(tri: Triangulation, cfg, inv: np.ndarray,
         for w in np.flatnonzero(inside):
             if w in (u, v):
                 continue
-            total = _clipped_angle(inv[w, u]) + _clipped_angle(inv[w, v])
+            total = _clamped_acos(inv[w, u]) + _clamped_acos(inv[w, v])
             out.append(TangencyDiagnostic(
                 (u, v), float(inv[u, v]), point, int(w), total,
                 total >= _PI - angle_eps))
@@ -312,10 +313,6 @@ def _rotate_toward(p: np.ndarray, q: np.ndarray, angle: float,
     t = q - float(q @ p) * p
     t /= np.linalg.norm(t)
     return math.cos(angle) * p + math.sin(angle) * t
-
-
-def _clipped_angle(inv: float) -> float:
-    return math.acos(min(1.0, max(-1.0, inv)))
 
 
 # ---------------------------------------------------------------------------

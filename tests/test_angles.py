@@ -16,7 +16,6 @@ from katsphere.angles import (
     check_admissible,
     check_admissible_strict,
     check_dual_admissible,
-    interpolate,
     transport_dual_angles,
 )
 from katsphere.catalog import bipyramid, icosahedron, octahedron
@@ -66,36 +65,6 @@ class TestAssignment:
         th = AngleAssignment({(2, 1): 0.7})
         assert th[(1, 2)] == pytest.approx(0.7)
         assert (2, 1) in th
-
-
-class TestInterpolate:
-    def test_endpoints(self):
-        th = AngleAssignment({(0, 1): 0.9})
-        assert interpolate(th, 1.0)[(0, 1)] == pytest.approx(0.9, abs=1e-15)
-        assert interpolate(th, 0.0)[(0, 1)] == pytest.approx(_PI / 3, abs=1e-15)
-
-    def test_frozen_midpoint(self):
-        # (2*pi/5)/2 + pi/6 = pi/5 + pi/6
-        th = AngleAssignment({(0, 1): 2 * _PI / 5})
-        assert interpolate(th, 0.5)[(0, 1)] == pytest.approx(
-            1.1519173063162573, abs=1e-15
-        )
-
-    def test_domain(self):
-        th = AngleAssignment({(0, 1): 1.0})
-        with pytest.raises(ValueError):
-            interpolate(th, -0.01)
-        with pytest.raises(ValueError):
-            interpolate(th, 1.01)
-
-    @given(
-        theta=st.floats(min_value=0.01, max_value=_PI - 0.01),
-        s=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_stays_between(self, theta, s):
-        y = interpolate(AngleAssignment({(0, 1): theta}), s)[(0, 1)]
-        lo, hi = sorted((theta, _PI / 3))
-        assert lo - 1e-12 <= y <= hi + 1e-12
 
 
 class TestAdmissibility:
@@ -246,7 +215,8 @@ def is_isomorphic_counts(a, b):
 
 
 # ---------------------------------------------------------------------------
-# interpolation preserves admissibility (strictly, for s < 1)
+# the straight line s * theta + (1 - s) * pi/3 toward uniform pi/3
+# preserves admissibility (strictly, for s < 1)
 # ---------------------------------------------------------------------------
 
 
@@ -262,7 +232,9 @@ def test_interpolation_preserves_admissibility(jitter, s):
     values = {e: 0.44 * _PI + j for e, j in zip(tri.edges, jitter)}
     th = AngleAssignment(values)
     assume(check_admissible(tri, th).ok)
-    rep = check_admissible_strict(tri, interpolate(th, s))
+    pulled = AngleAssignment(
+        {e: s * t + (1.0 - s) * (_PI / 3.0) for e, t in th.items()})
+    rep = check_admissible_strict(tri, pulled)
     assert rep.ok, [str(v) for v in rep.violations]
 
 
@@ -272,8 +244,8 @@ def test_interpolation_from_boundary_case(s):
     # the octahedron at pi/2 sits on the admissible boundary; any genuine
     # pull toward pi/3 lands strictly inside
     tri = octahedron()
-    th = AngleAssignment.constant(tri, _PI / 2)
-    rep = check_admissible_strict(tri, interpolate(th, s))
+    pulled = AngleAssignment.constant(tri, s * (_PI / 2) + (1.0 - s) * (_PI / 3.0))
+    rep = check_admissible_strict(tri, pulled)
     assert rep.ok
 
 
@@ -281,7 +253,9 @@ def test_interpolation_sits_on_boundary_at_zero():
     # at s = 0 every face total collapses onto the bound pi itself, so the
     # strict interior claim is genuinely open at that end
     tri = octahedron()
-    pulled = interpolate(AngleAssignment.constant(tri, 2 * _PI / 5), 0.0)
+    s = 0.0
+    pulled = AngleAssignment.constant(
+        tri, s * (2 * _PI / 5) + (1.0 - s) * (_PI / 3.0))
     for face in tri.faces:
         total = sum(
             pulled[(min(a, b), max(a, b))]

@@ -108,6 +108,49 @@ class TestAngles:
             load_angles(path)
 
 
+def _false_for_zero(faces):
+    """The faces with vertex 0 written as JSON false."""
+    return [[False if v == 0 else v for v in f] for f in faces]
+
+
+class TestBooleanVertexIds:
+    """JSON true and false are not vertex ids, though Python reads them
+    as the ints 1 and 0."""
+
+    def test_complex_rejects_boolean_id(self, oct_tri, tmp_path):
+        path = tmp_path / "oct.json"
+        path.write_text(json.dumps({"faces": _false_for_zero(oct_tri.faces)}))
+        with pytest.raises(ParseError, match="three integer vertex ids"):
+            load_complex(path)
+
+    def test_dual_rejects_boolean_id(self, bp3, tmp_path):
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(
+            {"dual_faces": _false_for_zero(dualize(bp3).faces)}))
+        with pytest.raises(ParseError, match="integer vertex ids"):
+            load_dual(path)
+
+    def test_angles_reject_boolean_id(self, tmp_path):
+        path = tmp_path / "angles.json"
+        path.write_text(json.dumps(
+            {"edges": [{"u": False, "v": 2, "theta": 0.5}]}))
+        with pytest.raises(ParseError, match="integer u < v"):
+            load_angles(path)
+
+    def test_pattern_rejects_boolean_gauge_id(self, oct_tri, solved_oct,
+                                              tmp_path):
+        cfg, theta = solved_oct
+        from katsphere.solver import solve
+        _, rep = solve(oct_tri, theta)
+        data = json.loads(dump_pattern(cfg, rep, theta))
+        assert 0 in data["gauge_face"]
+        data["gauge_face"] = _false_for_zero([data["gauge_face"]])[0]
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="gauge_face"):
+            load_pattern(path, oct_tri)
+
+
 class TestPattern:
     def test_round_trip_preserves_data(self, oct_tri, solved_oct, tmp_path):
         cfg, theta = solved_oct

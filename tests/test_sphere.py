@@ -12,9 +12,10 @@ code with the library:
 * ``1.6180339887498945`` -- inversive distance of the antipodal pairs in that
   pattern, 1 + 2*cos(2*pi/5), the golden ratio.
 
-Two earlier formulas stay here as oracles: the boost built by Minkowski
-Gram-Schmidt (`gram_schmidt_boost`), and the Gram form of the edge read,
-`inversive_matrix` taken on one pair.
+Three earlier formulas stay here as oracles: the boost built by Minkowski
+Gram-Schmidt (`gram_schmidt_boost`), the Gram form of the edge read,
+`inversive_matrix` taken on one pair, and L'Huilier's area of a triangle
+from its side lengths (`excess_lhuilier`), against `signed_excess`.
 """
 
 import math
@@ -34,7 +35,6 @@ from katsphere.sphere import (
     caps_disjoint,
     center_distance,
     circle_intersection_points,
-    excess_lhuilier,
     face_excesses,
     fibonacci_sphere,
     inversive_distance,
@@ -87,6 +87,15 @@ def measured_angle(cap1, cap2):
     t2 = np.cross(cap2.center, q)
     c = float(np.dot(t1, t2) / (np.linalg.norm(t1) * np.linalg.norm(t2)))
     return _PI - math.acos(max(-1.0, min(1.0, c)))
+
+
+def excess_lhuilier(l1, l2, l3):
+    """Spherical excess (area) of a triangle from its side lengths, by
+    L'Huilier's formula."""
+    s = 0.5 * (l1 + l2 + l3)
+    prod = (math.tan(0.5 * s) * math.tan(0.5 * (s - l1))
+            * math.tan(0.5 * (s - l2)) * math.tan(0.5 * (s - l3)))
+    return 4.0 * math.atan(math.sqrt(max(0.0, prod)))
 
 
 unit_vec = st.builds(
